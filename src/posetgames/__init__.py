@@ -26,6 +26,7 @@ from .posets import (
 )
 from .games import (
     KaylesGame,
+    MaskGame,
     PosetGame,
     SetGame,
     SetGameRules,

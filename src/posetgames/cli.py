@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .games import (
@@ -19,7 +20,7 @@ from .games import (
     format_setgame,
     parse_setgame,
 )
-from .graphs import FormatError, parse_graph
+from .graphs import parse_graph
 from .posets import format_poset, parse_poset, to_dot
 from .reductions import format_phi_mapping, poset_to_setgame, reduce_kayles_to_poset
 from .solver import (
@@ -224,11 +225,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
+    except (OSError, ValueError) as exc:  # bad input; FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault in the program: exit 1 would read as "second"
+        traceback.print_exc()
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

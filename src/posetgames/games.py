@@ -1,72 +1,72 @@
 """Impartial-game rules for Node Kayles, poset games, and the set game.
 
-All three share the same shape: a fixed universe of element/vertex indices,
-a position given as a bitmask of what remains, ``moves(pos)`` listing legal
-move indices in ascending order, and ``apply(pos, move)`` producing the next
-position.  Every apply strictly shrinks the position, so playouts terminate.
+All three are one game over bitmask positions: move ``i`` is legal when its
+``legal[i]`` mask meets the position, and it deletes ``kill[i]`` from it.
+
+- Node Kayles: ``1 << v`` and the closed neighbourhood of v;
+- poset game: ``1 << x`` and the upper cone ``up[x]``;
+- set game: the set's mask for both, since a state is the mask of surviving
+  ground elements and picking a set erases its elements everywhere.
+
+A legal move always deletes part of the position, so playouts terminate.
 Normal play: the player who cannot move loses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graphs import FormatError, Graph, closed_neighborhood
-from .posets import Poset, mask_to_sorted
+from .graphs import FormatError, Graph
+from .posets import Poset
 
 
-class KaylesGame:
+class MaskGame:
+    """Rules with one ``(legal, kill)`` mask pair per move index."""
+
+    def __init__(self, size: int, legal: Sequence[int], kill: Sequence[int], noun: str):
+        self.size = size
+        self.legal = tuple(legal)
+        self.kill = tuple(kill)
+        self.noun = noun
+        # the order the solver tries moves in: most-removing first, ties by index
+        self.order = tuple(sorted(zip(self.legal, self.kill), key=lambda lk: -lk[1].bit_count()))
+
+    def initial(self) -> int:
+        return (1 << self.size) - 1
+
+    def moves(self, pos: int) -> list[int]:
+        return [i for i, legal in enumerate(self.legal) if legal & pos]
+
+    def child(self, pos: int, i: int) -> int:
+        return pos & ~self.kill[i]
+
+    def apply(self, pos: int, i: int) -> int:
+        if not self.legal[i] & pos:
+            raise ValueError(f"{self.describe_move(i)} is not available")
+        return self.child(pos, i)
+
+    def remaining(self, pos: int, i: int) -> int:
+        """What is left of move i's legal mask; for the set game, of set i."""
+        return self.legal[i] & pos
+
+    def describe_move(self, i: int) -> str:
+        return f"{self.noun} {i}"
+
+
+def KaylesGame(graph: Graph) -> MaskGame:
     """Node Kayles: a move removes a chosen vertex and its closed neighborhood."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.size = graph.n
-        self._nbhd = []
-        for v in range(graph.n):
-            mask = 0
-            for u in closed_neighborhood(graph, v):
-                mask |= 1 << u
-            self._nbhd.append(mask)
-
-    def initial(self) -> int:
-        return (1 << self.size) - 1
-
-    def moves(self, pos: int) -> list[int]:
-        return mask_to_sorted(pos)
-
-    def child(self, pos: int, v: int) -> int:
-        return pos & ~self._nbhd[v]
-
-    def apply(self, pos: int, v: int) -> int:
-        if not pos >> v & 1:
-            raise ValueError(f"vertex {v} is not present")
-        return self.child(pos, v)
-
-    def describe_move(self, v: int) -> str:
-        return f"vertex {v}"
+    single = [1 << v for v in range(graph.n)]
+    nbhd = list(single)
+    for u, v in graph.edges:
+        nbhd[u] |= 1 << v
+        nbhd[v] |= 1 << u
+    return MaskGame(graph.n, single, nbhd, "vertex")
 
 
-class PosetGame:
+def PosetGame(poset: Poset) -> MaskGame:
     """Poset game: a move removes a chosen element and everything above it."""
-
-    def __init__(self, poset: Poset):
-        self.poset = poset
-        self.size = poset.m
-
-    def initial(self) -> int:
-        return (1 << self.size) - 1
-
-    def moves(self, pos: int) -> list[int]:
-        return mask_to_sorted(pos)
-
-    def child(self, pos: int, x: int) -> int:
-        return pos & ~self.poset.up[x]
-
-    def apply(self, pos: int, x: int) -> int:
-        return self.poset.remove_cone(pos, x)
-
-    def describe_move(self, x: int) -> str:
-        return f"element {x}"
+    return MaskGame(poset.m, [1 << x for x in range(poset.m)], poset.up, "element")
 
 
 @dataclass(frozen=True)
@@ -87,43 +87,10 @@ class SetGame:
         return len(self.sets)
 
 
-class SetGameRules:
-    """Set game: picking a non-empty set erases its elements from every set.
-
-    The state is just the mask of surviving ground elements; an element
-    survives exactly when no chosen set contained it, so each set's remaining
-    content is derivable as ``set_mask & state``.
-    """
-
-    def __init__(self, game: SetGame):
-        self.game = game
-        self.size = game.universe
-        self._set_masks = []
-        for s in game.sets:
-            mask = 0
-            for e in s:
-                mask |= 1 << e
-            self._set_masks.append(mask)
-
-    def initial(self) -> int:
-        return (1 << self.size) - 1
-
-    def remaining(self, pos: int, i: int) -> int:
-        return self._set_masks[i] & pos
-
-    def moves(self, pos: int) -> list[int]:
-        return [i for i in range(self.game.k) if self._set_masks[i] & pos]
-
-    def child(self, pos: int, i: int) -> int:
-        return pos & ~self._set_masks[i]
-
-    def apply(self, pos: int, i: int) -> int:
-        if not self._set_masks[i] & pos:
-            raise ValueError(f"set {i} is already empty")
-        return self.child(pos, i)
-
-    def describe_move(self, i: int) -> str:
-        return f"set {i}"
+def SetGameRules(game: SetGame) -> MaskGame:
+    """Set game: picking a non-empty set erases its elements from every set."""
+    masks = [sum(1 << e for e in s) for s in game.sets]
+    return MaskGame(game.universe, masks, masks, "set")
 
 
 def parse_setgame(text: str) -> SetGame:

@@ -27,7 +27,16 @@ class Violation:
 
 
 def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
-    """Check a raw m x m relation (row bitmasks) against the order axioms."""
+    """Check a raw m x m relation (row bitmasks) against the order axioms.
+
+    Raises ValueError when ``rows`` cannot be an m x m relation: fewer than
+    m rows, or a row with a bit at or above m.
+    """
+    if len(rows) < m:
+        raise ValueError(f"relation has {len(rows)} rows, expected {m}")
+    for x in range(m):
+        if rows[x] >> m:
+            raise ValueError(f"row {x} has bits outside elements 0..{m - 1}")
     for x in range(m):
         if not rows[x] >> x & 1:
             return Violation("reflexive", (x,))
@@ -112,7 +121,7 @@ class Poset:
         """{y : x <= y}; contains x by reflexivity."""
         if not 0 <= x < self.m:
             raise ValueError(f"element {x} out of range")
-        return _mask_to_set(self.up[x])
+        return set(mask_to_sorted(self.up[x]))
 
     def remove_cone(self, pos: int, x: int) -> int:
         """Remove x and everything above it from the position."""
@@ -166,14 +175,6 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(m={self.m})"
-
-
-def _mask_to_set(mask: int) -> set[int]:
-    out = set()
-    while mask:
-        out.add((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def mask_to_sorted(mask: int) -> list[int]:

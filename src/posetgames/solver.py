@@ -1,11 +1,13 @@
 """Memoized exhaustive solver: win/loss search and Grundy numbers.
 
-The win/loss search stops scanning children as soon as one losing child is
-found, and tries the moves that remove the most elements first; the cutoff
-and the ordering cannot change the (exact) result.  Grundy computation
-enumerates every child, since mex needs them all.  Recursion depth is
-bounded by the universe size, so memory grows only with the depth and the
-transposition table.
+Both are one depth-first search over the rules' ``(legal, kill)`` moves,
+kept on an explicit stack, so no position is too deep to solve.  Children
+are generated one at a time, in the order fixed by ``game.order`` (the moves
+that remove the most elements first).  For win/loss a position is won as
+soon as one child is lost, and the remaining moves are never generated;
+for Grundy numbers every child is needed, and the value is their mex.  The
+order and the cutoff cannot change the (exact) result.  Memory grows with
+the transposition table and the stack, which is bounded by the universe.
 """
 
 from __future__ import annotations
@@ -38,14 +40,15 @@ def mex(values) -> int:
 
 @dataclass
 class TranspositionTable:
-    """Position-mask keyed memo for one (rules, universe) context."""
+    """Position-mask keyed memo for one rules object: win/loss outcomes in
+    ``wins``, Grundy values in ``values``."""
 
+    wins: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     hits: int = 0
-    misses: int = 0
 
     def __len__(self):
-        return len(self.values)
+        return len(self.wins) + len(self.values)
 
 
 @dataclass
@@ -59,14 +62,9 @@ class SearchStats:
             raise BudgetExceeded(self.states)
 
 
-def solve_winner(
-    game,
-    pos: int | None = None,
-    table: TranspositionTable | None = None,
-    budget: int | None = None,
-    stats: SearchStats | None = None,
-) -> GameValue:
-    """Decide whether the player to move wins from ``pos`` (default: initial)."""
+def _solve(game, pos, table, budget, stats, want_grundy: bool):
+    """Win/loss (a bool) or Grundy value (an int) of ``pos``, with defaults
+    filled in: the initial position, a fresh table, a fresh budgeted stats."""
     if pos is None:
         pos = game.initial()
     if table is None:
@@ -75,25 +73,69 @@ def solve_winner(
         stats = SearchStats(budget=budget)
     elif budget is not None:
         stats.budget = budget
-    return GameValue.WIN if _win(game, pos, table, stats) else GameValue.LOSS
+    memo = table.values if want_grundy else table.wins
+    value = memo.get(pos)
+    if value is not None:
+        table.hits += 1
+        return value
+    moves = game.order
+    n = len(moves)
+    hits = 0
+    stack = []  # suspended ancestors: (position, next move, child values seen)
+    p, i, seen = pos, 0, set()
+    stats.spend()
+    try:
+        while True:
+            value = None
+            while i < n:
+                legal, kill = moves[i]
+                i += 1
+                if not legal & p:
+                    continue
+                c = p & ~kill
+                v = memo.get(c)
+                if v is None:  # descend into the child
+                    stats.spend()
+                    stack.append((p, i, seen))
+                    p, i, seen = c, 0, set()
+                    continue
+                hits += 1
+                if want_grundy:
+                    seen.add(v)
+                elif not v:
+                    value = True
+                    break
+            if value is None:
+                value = mex(seen) if want_grundy else False
+            memo[p] = value
+            # hand the value up until an ancestor still has moves to try
+            while stack:
+                p, i, seen = stack.pop()
+                if want_grundy:
+                    seen.add(value)
+                    break
+                if value:
+                    break
+                value = memo[p] = True
+            else:
+                return value
+    finally:
+        table.hits += hits
 
 
 def _win(game, pos: int, table: TranspositionTable, stats: SearchStats) -> bool:
-    cached = table.values.get(pos)
-    if cached is not None:
-        table.hits += 1
-        return cached
-    table.misses += 1
-    stats.spend()
-    children = [game.child(pos, mv) for mv in game.moves(pos)]
-    children.sort(key=lambda c: c.bit_count())
-    result = False
-    for child in children:
-        if not _win(game, child, table, stats):
-            result = True
-            break
-    table.values[pos] = result
-    return result
+    return _solve(game, pos, table, None, stats, False)
+
+
+def solve_winner(
+    game,
+    pos: int | None = None,
+    table: TranspositionTable | None = None,
+    budget: int | None = None,
+    stats: SearchStats | None = None,
+) -> GameValue:
+    """Decide whether the player to move wins from ``pos`` (default: initial)."""
+    return GameValue.WIN if _solve(game, pos, table, budget, stats, False) else GameValue.LOSS
 
 
 def grundy(
@@ -104,28 +146,7 @@ def grundy(
     stats: SearchStats | None = None,
 ) -> int:
     """Grundy number of ``pos``: mex over all children, fully enumerated."""
-    if pos is None:
-        pos = game.initial()
-    if table is None:
-        table = TranspositionTable()
-    if stats is None:
-        stats = SearchStats(budget=budget)
-    elif budget is not None:
-        stats.budget = budget
-    return _grundy(game, pos, table, stats)
-
-
-def _grundy(game, pos: int, table: TranspositionTable, stats: SearchStats) -> int:
-    cached = table.values.get(pos)
-    if cached is not None:
-        table.hits += 1
-        return cached
-    table.misses += 1
-    stats.spend()
-    seen = {_grundy(game, game.child(pos, mv), table, stats) for mv in game.moves(pos)}
-    value = mex(seen)
-    table.values[pos] = value
-    return value
+    return _solve(game, pos, table, budget, stats, True)
 
 
 def best_move(

@@ -12,6 +12,7 @@ from posetgames import (
     parse_poset,
     parse_setgame,
 )
+from posetgames import cli
 from posetgames.cli import main
 
 
@@ -53,6 +54,16 @@ class TestWinner:
         assert main(["winner", "--game", "kayles", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_internal_failure_exit_2(self, antichain3_file, capsys, monkeypatch):
+        # exit 1 means "second", so a crash must not produce it
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_winner", boom)
+        assert main(["winner", "--game", "poset", antichain3_file]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "error: internal RuntimeError: boom"
+
     def test_budget_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         path.write_text(format_graph(complete_graph(4)))
@@ -70,6 +81,15 @@ class TestGrundy:
         path.write_text("2 2\n0\n1\n")
         assert main(["grundy", "--game", "setgame", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+    def test_deep_top_first_chain(self, tmp_path, capsys):
+        m = 1500
+        path = tmp_path / "top.poset"
+        path.write_text(f"{m}\n" + "".join(f"{x + 1} {x}\n" for x in range(m - 1)))
+        assert main(["grundy", "--game", "poset", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.strip() == str(m)
+        assert "Traceback" not in err and "error" not in err
 
 
 class TestReduce:

@@ -42,6 +42,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="antisymmetric"):
             Poset(2, [0b11, 0b11])
 
+    def test_row_beyond_m_is_value_error(self):
+        with pytest.raises(ValueError, match="outside elements"):
+            Poset(2, [0b101, 0b10])
+
+    def test_missing_rows_is_value_error(self):
+        with pytest.raises(ValueError, match="rows"):
+            validate_relation(3, [0b1, 0b10])
+
 
 class TestUpperCone:
     def test_maximal_element(self):

@@ -6,6 +6,7 @@ from posetgames import (
     GameValue,
     Graph,
     KaylesGame,
+    Poset,
     PosetGame,
     SearchStats,
     SetGameRules,
@@ -86,6 +87,18 @@ class TestGrundy:
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceeded):
             grundy(KaylesGame(psi(complete_graph(4))), budget=3)
+
+    def test_table_shared_with_winner_keeps_ints(self):
+        table = TranspositionTable()
+        solve_winner(PosetGame(chain(3)), table=table)
+        value = grundy(PosetGame(chain(3)), table=table)
+        assert type(value) is int and value == 3
+
+    def test_deep_top_first_chain(self):
+        # x+1 <= x: element 0 is the top, so low indices remove little
+        m = 1500
+        game = PosetGame(Poset.from_pairs(m, [(x + 1, x) for x in range(m - 1)]))
+        assert grundy(game) == m
 
 
 class TestBestMove:
