@@ -10,15 +10,23 @@ All three are one game over bitmask positions: move ``i`` is legal when its
 
 A legal move always deletes part of the position, so playouts terminate.
 Normal play: the player who cannot move loses.
+
+Two elements are linked when one move's legal mask holds one of them and
+its legal or kill mask holds the other.  A move legal in a position then
+touches only the part of the position linked to its legal elements, so the
+position is the sum of its connected components (Kayles: of the induced
+subgraph; poset game: of the comparability graph; set game: of the
+elements that share a set).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .graphs import FormatError, Graph
-from .posets import Poset
+from .posets import Poset, transpose
 
 
 class MaskGame:
@@ -28,6 +36,9 @@ class MaskGame:
         self.size = size
         self.legal = tuple(legal)
         self.kill = tuple(kill)
+        outside = any((a | b) >> size for a, b in zip(self.legal, self.kill))
+        if outside or len(self.legal) != len(self.kill):
+            raise ValueError(f"need one legal and one kill mask per move, inside {size} elements")
         self.noun = noun
         # the order the solver tries moves in: most-removing first, ties by index
         self.order = tuple(sorted(zip(self.legal, self.kill), key=lambda lk: -lk[1].bit_count()))
@@ -52,6 +63,51 @@ class MaskGame:
 
     def describe_move(self, i: int) -> str:
         return f"{self.noun} {i}"
+
+    @cached_property
+    def links(self) -> tuple[int, ...]:
+        """``links[e]``: the elements linked to e, built on first use.
+
+        Only moves whose legal mask holds e count.  A move that merely kills
+        e says nothing once e is gone; in Kayles it would link the two ends
+        of a path through a deleted middle vertex.
+        """
+        links = [0] * self.size
+        for legal, kill in zip(self.legal, self.kill):
+            reach = legal | kill
+            rest = legal
+            while rest:
+                low = rest & -rest
+                links[low.bit_length() - 1] |= reach
+                rest ^= low
+        return tuple(a | b for a, b in zip(links, transpose(self.size, links)))
+
+    def components(self, pos: int) -> list[int]:
+        """The connected components of ``pos``, lowest element first.
+
+        Each search stops once nothing of ``pos`` is left outside it, so a
+        connected position costs no more than it takes to reach all of it.
+        """
+        links = self.links
+        parts = []
+        while pos:
+            todo = pos & -pos
+            if todo >> self.size:  # elements outside the rules have no moves
+                parts.append(pos)
+                break
+            rest = pos ^ todo
+            while todo:
+                low = todo & -todo
+                new = links[low.bit_length() - 1] & rest
+                if new:
+                    rest ^= new
+                    if not rest:
+                        break
+                    todo |= new
+                todo ^= low
+            parts.append(pos ^ rest)
+            pos = rest
+        return parts
 
 
 def KaylesGame(graph: Graph) -> MaskGame:

@@ -40,10 +40,11 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
     for x in range(m):
         if not rows[x] >> x & 1:
             return Violation("reflexive", (x,))
+    cols = transpose(m, rows)
     for x in range(m):
-        for y in range(m):
-            if x != y and rows[x] >> y & 1 and rows[y] >> x & 1:
-                return Violation("antisymmetric", (x, y))
+        if rows[x] & cols[x] != 1 << x:
+            other = rows[x] & cols[x] & ~(1 << x)
+            return Violation("antisymmetric", (x, (other & -other).bit_length() - 1))
     for x in range(m):
         reach = 0
         ys = rows[x]
@@ -72,15 +73,20 @@ class Poset:
         bad = validate_relation(m, up)
         if bad is not None:
             raise ValueError(f"not a partial order: {bad}")
+        self._fill(m, up, transpose(m, up), levels)
+
+    def _fill(self, m, up, down, levels):
         self.m = m
         self.up = tuple(up)
-        down = [0] * m
-        for x in range(m):
-            for y in range(m):
-                if up[y] >> x & 1:
-                    down[x] |= 1 << y
         self.down = tuple(down)
         self.levels = tuple(levels) if levels is not None else None
+
+    @classmethod
+    def _closed(cls, m, up, down, levels) -> "Poset":
+        """A poset from rows already known to be a partial order."""
+        self = object.__new__(cls)
+        self._fill(m, up, down, levels)
+        return self
 
     @classmethod
     def from_pairs(
@@ -104,11 +110,13 @@ class Poset:
             for x in range(m):
                 if up[x] & bit:
                     up[x] |= upk
+        down = transpose(m, up)
         for x in range(m):
-            for y in range(x + 1, m):
-                if up[x] >> y & 1 and up[y] >> x & 1:
-                    raise ValueError(f"cycle between elements {x} and {y}")
-        return cls(m, up, levels)
+            if up[x] & down[x] != 1 << x:
+                other = up[x] & down[x] & ~(1 << x)
+                y = (other & -other).bit_length() - 1
+                raise ValueError(f"cycle between elements {x} and {y}")
+        return cls._closed(m, up, down, levels)
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
@@ -154,13 +162,14 @@ class Poset:
 
     def disjoint_sum(self, other: "Poset") -> "Poset":
         """Order-disjoint union; other's elements are shifted up by self.m."""
-        up = list(self.up) + [row << self.m for row in other.up]
+        up = self.up + tuple(row << self.m for row in other.up)
+        down = self.down + tuple(row << self.m for row in other.down)
         levels = None
         if self.levels is not None or other.levels is not None:
             left = self.levels or (None,) * self.m
             right = other.levels or (None,) * other.m
             levels = left + right
-        return Poset(self.m + other.m, up, levels)
+        return Poset._closed(self.m + other.m, up, down, levels)
 
     def __eq__(self, other):
         return (
@@ -175,6 +184,21 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(m={self.m})"
+
+
+def transpose(m: int, rows: Sequence[int]) -> list[int]:
+    """Columns of an m x m bit matrix: bit x of ``out[y]`` is bit y of ``rows[x]``.
+
+    Rows must have no bit at or above m.  The work is done on fixed-width
+    binary strings, so it runs in C rather than bit by bit; columns are
+    taken one at a time, so only one of them is held as a tuple.
+    """
+    if not m:
+        return []
+    text = [format(row, f"0{m}b") for row in reversed(rows[:m])]
+    cols = [int("".join(col), 2) for col in zip(*text)]
+    cols.reverse()
+    return cols
 
 
 def mask_to_sorted(mask: int) -> list[int]:

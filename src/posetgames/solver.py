@@ -8,6 +8,15 @@ soon as one child is lost, and the remaining moves are never generated;
 for Grundy numbers every child is needed, and the value is their mex.  The
 order and the cutoff cannot change the (exact) result.  Memory grows with
 the transposition table and the stack, which is bounded by the universe.
+
+Grundy search also splits each position the table does not hold into its
+connected components (``game.components``).  By the Sprague-Grundy theorem
+the value of a sum is the XOR of its parts' values, so only the parts are
+searched move by move, each once; sums and parts are both stored under
+their own masks.  Kayles paths, the padding ``psi`` adds and disjoint
+chains fall apart this way.  Win/loss search does not split: on the
+verification suites, finding components cost it more than the cutoff left
+to save.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ class TranspositionTable:
 
 @dataclass
 class SearchStats:
+    """Counters of a solve.  ``states`` counts the positions searched move by
+    move; in Grundy mode these are connected positions only, since a split
+    position is the XOR of its parts."""
+
     states: int = 0
     budget: int | None = None
 
@@ -81,12 +94,47 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     moves = game.order
     n = len(moves)
     hits = 0
-    stack = []  # suspended ancestors: (position, next move, child values seen)
-    p, i, seen = pos, 0, set()
-    stats.spend()
+    # Suspended frames.  A move frame (position, next move, child values seen)
+    # tries the moves of a position; in Grundy mode a sum frame (position,
+    # parts left, XOR so far) adds up the values of a split position's parts.
+    # The loop hands a value to the top frame, then tries moves until it
+    # descends into a child or the position is solved.
+    if want_grundy:
+        split = game.components
+        stack = [(pos, iter(split(pos)), 0)]
+        value = 0  # handing 0 to a fresh sum frame starts it
+    else:
+        stats.spend()
+        stack = [(pos, 0, None)]
+        value = True  # a won child sends its parent on to the next move
     try:
         while True:
-            value = None
+            while stack:
+                p, i, seen = stack.pop()
+                if not want_grundy:
+                    if value:
+                        break
+                    value = memo[p] = True
+                elif type(seen) is set:
+                    seen.add(value)
+                    break
+                else:  # a sum frame: XOR the value in, then find an unsolved part
+                    seen ^= value
+                    for part in i:
+                        v = memo.get(part)
+                        if v is None:
+                            break
+                        hits += 1
+                        seen ^= v
+                    else:
+                        value = memo[p] = seen
+                        continue
+                    stats.spend()
+                    stack.append((p, i, seen))
+                    p, i, seen = part, 0, set()
+                    break
+            else:
+                return value
             while i < n:
                 legal, kill = moves[i]
                 i += 1
@@ -94,31 +142,26 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                     continue
                 c = p & ~kill
                 v = memo.get(c)
-                if v is None:  # descend into the child
-                    stats.spend()
+                if v is None:
                     stack.append((p, i, seen))
-                    p, i, seen = c, 0, set()
+                    if want_grundy:
+                        parts = split(c)
+                        if len(parts) != 1:
+                            stack.append((c, iter(parts), 0))
+                            value = 0
+                            break
+                        seen = set()
+                    stats.spend()
+                    p, i = c, 0
                     continue
                 hits += 1
                 if want_grundy:
                     seen.add(v)
                 elif not v:
-                    value = True
+                    value = memo[p] = True
                     break
-            if value is None:
-                value = mex(seen) if want_grundy else False
-            memo[p] = value
-            # hand the value up until an ancestor still has moves to try
-            while stack:
-                p, i, seen = stack.pop()
-                if want_grundy:
-                    seen.add(value)
-                    break
-                if value:
-                    break
-                value = memo[p] = True
             else:
-                return value
+                value = memo[p] = mex(seen) if want_grundy else False
     finally:
         table.hits += hits
 

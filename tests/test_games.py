@@ -5,6 +5,7 @@ from posetgames import (
     FormatError,
     Graph,
     KaylesGame,
+    MaskGame,
     PosetGame,
     SetGame,
     SetGameRules,
@@ -136,6 +137,20 @@ class TestSharedInvariants:
             steps += 1
             assert steps <= rules.size + len(getattr(rules, "_set_masks", []))
 
+    @given(any_rules(), st.data())
+    def test_components_split_the_moves(self, rules, data):
+        pos = data.draw(st.integers(0, rules.initial()))
+        parts = rules.components(pos)
+        union = 0
+        for part in parts:
+            assert part and not part & union
+            union |= part
+        assert union == pos
+        for legal, kill in zip(rules.legal, rules.kill):
+            touched = [part for part in parts if legal & part]
+            if touched:  # a legal move plays in one part and kills nothing outside it
+                assert len(touched) == 1 and kill & pos & ~touched[0] == 0
+
     @given(st.integers(1, 7), st.floats(0, 1), st.integers(0, 99), st.data())
     def test_poset_positions_are_down_sets(self, m, density, seed, data):
         p = random_poset(m, density, seed)
@@ -166,6 +181,21 @@ class TestSetGameFormat:
     def test_missing_rows(self):
         with pytest.raises(FormatError):
             parse_setgame("2 2\n0\n")
+
+
+def test_links_per_rule_set():
+    assert KaylesGame(P3).links == (0b011, 0b111, 0b110)  # closed neighbourhoods
+    assert PosetGame(chain(3).disjoint_sum(chain(1))).links == (0b0111, 0b0111, 0b0111, 0b1000)
+    # elements sharing a set are linked; element 3 is in no set
+    assert SetGameRules(SetGame(4, (frozenset({0, 1}), frozenset({1}), frozenset({2})))).links == (
+        0b0011, 0b0011, 0b0100, 0)
+
+
+def test_mask_game_rejects_masks_outside_its_elements():
+    with pytest.raises(ValueError):
+        MaskGame(2, [0b1], [0b101], "vertex")
+    with pytest.raises(ValueError):
+        MaskGame(2, [0b1, 0b10], [0b1], "vertex")
 
 
 def test_kayles_closed_neighborhood_masks_match_definition():

@@ -129,6 +129,15 @@ class TestUpperConeClosure:
                         assert z in cone
 
 
+class TestDownSets:
+    @given(st.integers(0, 8), st.floats(0, 1), st.integers(0, 100), st.integers(0, 4))
+    def test_down_is_the_transpose_of_up(self, m, density, seed, extra):
+        p = random_poset(m, density, seed).disjoint_sum(chain(extra))
+        for q in (p, Poset(p.m, p.up)):
+            for x in range(q.m):
+                assert set(mask_to_sorted(q.down[x])) == {y for y in range(q.m) if q.leq(y, x)}
+
+
 class TestDot:
     def test_chain_cover_edges(self):
         dot = to_dot(chain(3))

@@ -9,6 +9,7 @@ from posetgames import (
     Poset,
     PosetGame,
     SearchStats,
+    SetGame,
     SetGameRules,
     TranspositionTable,
     antichain,
@@ -25,10 +26,12 @@ from posetgames import (
     random_poset,
     solve_winner,
 )
+from posetgames.posets import mask_to_sorted
 from oracle import naive_kayles_grundy, naive_poset_grundy, naive_setgame_grundy
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 K2K2 = disjoint_union(complete_graph(2), complete_graph(2))
+C8 = Graph.of(8, [(i, i + 1) for i in range(7)] + [(0, 7)])
 
 
 class TestMex:
@@ -86,7 +89,9 @@ class TestGrundy:
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceeded):
-            grundy(KaylesGame(psi(complete_graph(4))), budget=3)
+            grundy(KaylesGame(C8), budget=3)
+        # psi(K4) = K4 + K2 + K2 splits into three one-state components
+        assert grundy(KaylesGame(psi(complete_graph(4))), budget=3) == 1
 
     def test_table_shared_with_winner_keeps_ints(self):
         table = TranspositionTable()
@@ -94,11 +99,132 @@ class TestGrundy:
         value = grundy(PosetGame(chain(3)), table=table)
         assert type(value) is int and value == 3
 
+    def test_table_shared_with_winner_keeps_ints_on_sums(self):
+        # the sum is split into its two chains; each part's value is an int too
+        table = TranspositionTable()
+        game = PosetGame(chain(2).disjoint_sum(chain(3)))
+        solve_winner(game, table=table)
+        value = grundy(game, table=table)
+        assert type(value) is int and value == 1
+        assert all(type(v) is int for v in table.values.values())
+
     def test_deep_top_first_chain(self):
         # x+1 <= x: element 0 is the top, so low indices remove little
         m = 1500
         game = PosetGame(Poset.from_pairs(m, [(x + 1, x) for x in range(m - 1)]))
         assert grundy(game) == m
+
+
+def path(n):
+    return Graph.of(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def dawson(n):
+    """Node Kayles on P_n: picking vertex i leaves P_(i-1) and P_(n-i-2)."""
+    g = [0] * (n + 1)
+    for k in range(1, n + 1):
+        g[k] = mex({g[max(i - 1, 0)] ^ g[max(k - i - 2, 0)] for i in range(k)})
+    return g[n]
+
+
+@st.composite
+def small_graph(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.of(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def set_family(universe):
+    return st.lists(st.frozensets(st.integers(0, universe - 1), max_size=universe), max_size=4)
+
+
+def play(game, data, steps):
+    """The position after up to ``steps`` random moves from the start."""
+    pos = game.initial()
+    for _ in range(steps):
+        moves = game.moves(pos)
+        if not moves:
+            break
+        pos = game.child(pos, data.draw(st.sampled_from(moves)))
+    return pos
+
+
+class TestSplitPositions:
+    """Positions that fall apart into components, against the naive oracle."""
+
+    @given(small_graph(5), small_graph(4))
+    @settings(max_examples=40, deadline=None)
+    def test_kayles_disjoint_union(self, a, b):
+        g = disjoint_union(a, b)
+        assert grundy(KaylesGame(g)) == naive_kayles_grundy(g)
+
+    @given(
+        st.integers(1, 5), st.floats(0, 1), st.integers(0, 99),
+        st.integers(1, 4), st.floats(0, 1), st.integers(0, 99),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_poset_disjoint_sum(self, m1, d1, s1, m2, d2, s2):
+        p = random_poset(m1, d1, s1).disjoint_sum(random_poset(m2, d2, s2))
+        assert grundy(PosetGame(p)) == naive_poset_grundy(p)
+
+    @given(set_family(5), set_family(4))
+    @settings(max_examples=40, deadline=None)
+    def test_setgame_disjoint_groups(self, left, right):
+        sets = left + [frozenset(e + 5 for e in s) for s in right]
+        assert grundy(SetGameRules(SetGame(9, tuple(sets)))) == naive_setgame_grundy(sets)
+
+    @given(small_graph(9), st.integers(0, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kayles_mid_game(self, g, steps, data):
+        game = KaylesGame(g)
+        pos = play(game, data, steps)
+        assert grundy(game, pos) == naive_kayles_grundy(g, frozenset(mask_to_sorted(pos)))
+
+    @given(st.integers(1, 9), st.floats(0, 1), st.integers(0, 99), st.integers(0, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_poset_mid_game(self, m, density, seed, steps, data):
+        p = random_poset(m, density, seed)
+        game = PosetGame(p)
+        pos = play(game, data, steps)
+        assert grundy(game, pos) == naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
+
+    @given(set_family(9), st.integers(0, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_setgame_mid_game(self, sets, steps, data):
+        game = SetGameRules(SetGame(9, tuple(sets)))
+        pos = play(game, data, steps)
+        # elements in no set are inert; the oracle leaves them out
+        alive = frozenset(mask_to_sorted(pos)) & frozenset().union(*sets)
+        assert grundy(game, pos) == naive_setgame_grundy(sets, alive)
+
+    def test_deleted_vertex_does_not_link_its_neighbours(self):
+        table = TranspositionTable()
+        assert grundy(KaylesGame(P3), 0b101, table) == 0
+        assert table.values[0b001] == table.values[0b100] == 1
+
+    def test_set_still_meeting_the_position_links(self):
+        # with element 1 gone, set {0, 1, 2} still meets the position and
+        # takes 0 and 2 together, so {0, 2} is one component, not K1 + K1
+        sets = [frozenset({0, 1, 2}), frozenset({0}), frozenset({2})]
+        game = SetGameRules(SetGame(3, tuple(sets)))
+        assert grundy(game, 0b101) == naive_setgame_grundy(sets, frozenset({0, 2})) == 2
+
+
+class TestStateCounts:
+    """Searched-state counts repeat exactly, so they pin down the splitting."""
+
+    def test_kayles_p40(self):
+        stats = SearchStats()
+        assert grundy(KaylesGame(path(40)), stats=stats) == dawson(40)
+        assert stats.states < 1_000
+
+    def test_two_reversed_chains(self):
+        m = 300
+        pairs = [(x + 1, x) for x in range(m - 1)] + [(m + x + 1, m + x) for x in range(m - 1)]
+        stats = SearchStats()
+        assert grundy(PosetGame(Poset.from_pairs(2 * m, pairs)), stats=stats) == 0
+        assert stats.states <= 2 * m
 
 
 class TestBestMove:
