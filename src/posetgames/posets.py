@@ -4,6 +4,14 @@ The canonical in-memory form is the reflexive-transitive closure: ``up[x]``
 is the bitmask of every y with x <= y (the upper cone of x).  Positions in
 the poset game are plain ints used as bitmasks over element indices, which
 keeps arbitrary element counts cheap (Python ints grow as needed).
+
+``Poset.from_pairs`` closes a list of generating pairs in one depth-first
+pass over direct-successor masks (Purdom, "A transitive closure algorithm",
+BIT 10, 1970): each cone is its own bit OR the finished cones of its direct
+successors, so the work follows the pairs rather than m * m, and a back edge
+on the search stack is reported as a cycle.  The lower cones ``down`` are
+the transpose of ``up``; they are built on first use, since the game, the
+reductions and the solver only read ``up``.
 """
 
 from __future__ import annotations
@@ -48,12 +56,10 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
     for x in range(m):
         reach = 0
         ys = rows[x]
-        y = 0
         while ys:
-            if ys & 1:
-                reach |= rows[y]
-            ys >>= 1
-            y += 1
+            low = ys & -ys
+            reach |= rows[low.bit_length() - 1]
+            ys ^= low
         extra = reach & ~rows[x]
         if extra:
             z = (extra & -extra).bit_length() - 1
@@ -67,26 +73,33 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
 class Poset:
     """Immutable finite poset on elements 0..m-1."""
 
-    __slots__ = ("m", "up", "down", "levels")
+    __slots__ = ("m", "up", "_down", "levels")
 
     def __init__(self, m: int, up: Sequence[int], levels: Sequence[str | None] | None = None):
         bad = validate_relation(m, up)
         if bad is not None:
             raise ValueError(f"not a partial order: {bad}")
-        self._fill(m, up, transpose(m, up), levels)
+        self._fill(m, up, levels)
 
-    def _fill(self, m, up, down, levels):
+    def _fill(self, m, up, levels):
         self.m = m
         self.up = tuple(up)
-        self.down = tuple(down)
+        self._down = None
         self.levels = tuple(levels) if levels is not None else None
 
     @classmethod
-    def _closed(cls, m, up, down, levels) -> "Poset":
+    def _closed(cls, m, up, levels) -> "Poset":
         """A poset from rows already known to be a partial order."""
         self = object.__new__(cls)
-        self._fill(m, up, down, levels)
+        self._fill(m, up, levels)
         return self
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        """Lower cones: bit y of ``down[x]`` is set iff y <= x.  Built on first use."""
+        if self._down is None:
+            self._down = tuple(transpose(self.m, self.up))
+        return self._down
 
     @classmethod
     def from_pairs(
@@ -97,26 +110,46 @@ class Poset:
     ) -> "Poset":
         """Close an arbitrary sub-relation reflexively and transitively.
 
-        Raises ValueError if the closure has a cycle (antisymmetry failure).
+        One depth-first pass over direct-successor masks: an element's cone
+        is its own bit OR the cones of its direct successors, each finished
+        first; a successor already inside the cone built so far is skipped.
+        The search keeps its path on an explicit stack, so long chains do
+        not recurse.  Raises ValueError for a pair out of range, or when a
+        successor is still on the stack, naming that pair as a cycle
+        (antisymmetry failure).
         """
-        up = [1 << x for x in range(m)]
+        succ = [0] * m
         for x, y in pairs:
             if not (0 <= x < m and 0 <= y < m):
                 raise ValueError(f"pair ({x}, {y}) out of range for m={m}")
-            up[x] |= 1 << y
-        for k in range(m):
-            upk = up[k]
-            bit = 1 << k
-            for x in range(m):
-                if up[x] & bit:
-                    up[x] |= upk
-        down = transpose(m, up)
-        for x in range(m):
-            if up[x] & down[x] != 1 << x:
-                other = up[x] & down[x] & ~(1 << x)
-                y = (other & -other).bit_length() - 1
-                raise ValueError(f"cycle between elements {x} and {y}")
-        return cls._closed(m, up, down, levels)
+            succ[x] |= 1 << y
+        up = [1 << x for x in range(m)]
+        state = bytearray(m)  # 0 unseen, 1 on the stack, 2 finished
+        for root in range(m):
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [root]
+            while stack:
+                x = stack[-1]
+                cone = up[x]
+                rest = succ[x] & ~cone
+                while rest:
+                    y = (rest & -rest).bit_length() - 1
+                    if state[y] != 2:
+                        break
+                    cone |= up[y]
+                    rest &= ~cone
+                up[x] = cone
+                if rest:
+                    if state[y]:
+                        raise ValueError(f"cycle between elements {x} and {y}")
+                    state[y] = 1
+                    stack.append(y)
+                else:
+                    state[x] = 2
+                    stack.pop()
+        return cls._closed(m, up, levels)
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
@@ -138,23 +171,25 @@ class Poset:
         return pos & ~self.up[x]
 
     def is_down_set(self, pos: int) -> bool:
+        down = self.down
         rest = pos
         while rest:
             x = (rest & -rest).bit_length() - 1
-            if self.down[x] & ~pos:
+            if down[x] & ~pos:
                 return False
             rest &= rest - 1
         return True
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction: (x, y) with x < y and nothing strictly between."""
+        down = self.down
         covers = []
         for x in range(self.m):
             strict = self.up[x] & ~(1 << x)
             rest = strict
             while rest:
                 y = (rest & -rest).bit_length() - 1
-                between = strict & (self.down[y] & ~(1 << y))
+                between = strict & (down[y] & ~(1 << y))
                 if between == 0:
                     covers.append((x, y))
                 rest &= rest - 1
@@ -163,13 +198,12 @@ class Poset:
     def disjoint_sum(self, other: "Poset") -> "Poset":
         """Order-disjoint union; other's elements are shifted up by self.m."""
         up = self.up + tuple(row << self.m for row in other.up)
-        down = self.down + tuple(row << self.m for row in other.down)
         levels = None
         if self.levels is not None or other.levels is not None:
             left = self.levels or (None,) * self.m
             right = other.levels or (None,) * other.m
             levels = left + right
-        return Poset._closed(self.m + other.m, up, down, levels)
+        return Poset._closed(self.m + other.m, up, levels)
 
     def __eq__(self, other):
         return (

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .games import KaylesGame, PosetGame, SetGameRules
@@ -466,6 +465,8 @@ def _theorem_worker(args):
 
 def _map_instances(config, named, check, psi_fn, phi_fn):
     if config.jobs > 1 and psi_fn is psi and phi_fn is phi:
+        from concurrent.futures import ProcessPoolExecutor
+
         args = [(name, format_graph(g), config.budget) for name, g in named]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             return list(pool.map(_theorem_worker, args))

@@ -41,3 +41,17 @@ def naive_setgame_grundy(sets, surviving=None):
         if sets[i] & surviving:
             seen.add(naive_setgame_grundy(sets, surviving - sets[i]))
     return naive_mex(seen)
+
+
+def naive_closure(m, pairs):
+    """Reachability rows as bitmasks: bit y of row x iff y is reachable from x
+    (x itself included), found by relaxing over the pairs until nothing changes."""
+    reach = [{x} for x in range(m)]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in pairs:
+            if not reach[y] <= reach[x]:
+                reach[x] |= reach[y]
+                changed = True
+    return [sum(1 << y for y in row) for row in reach]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetgames
 from posetgames import (
     complete_graph,
     disjoint_union,
@@ -186,3 +191,15 @@ class TestPlay:
 
         monkeypatch.setattr("builtins.input", raise_eof)
         assert main(["play", "--game", "poset", antichain3_file]) == 0
+
+
+class TestStartup:
+    def test_import_does_not_load_process_pool(self):
+        # only verify --jobs N with N > 1 needs the pool, so plain runs skip its imports
+        env = dict(os.environ, PYTHONPATH=str(Path(posetgames.__file__).parent.parent))
+        code = (
+            "import sys, posetgames.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,8 @@ from posetgames import (
     validate_relation,
 )
 from posetgames.posets import mask_to_sorted
+
+from oracle import naive_closure
 
 
 class TestValidate:
@@ -130,12 +134,88 @@ class TestUpperConeClosure:
 
 
 class TestDownSets:
-    @given(st.integers(0, 8), st.floats(0, 1), st.integers(0, 100), st.integers(0, 4))
-    def test_down_is_the_transpose_of_up(self, m, density, seed, extra):
+    @given(
+        st.integers(0, 8),
+        st.floats(0, 1),
+        st.integers(0, 100),
+        st.integers(0, 4),
+        st.integers(0, (1 << 12) - 1),
+    )
+    def test_down_is_the_transpose_of_up(self, m, density, seed, extra, bits):
         p = random_poset(m, density, seed).disjoint_sum(chain(extra))
         for q in (p, Poset(p.m, p.up)):
+            below = lambda x: {y for y in range(q.m) if q.leq(y, x)}
+            # cover_pairs and is_down_set run first, so they build down themselves
+            assert sorted(q.cover_pairs()) == [
+                (x, y)
+                for x in range(q.m)
+                for y in range(q.m)
+                if x != y and q.leq(x, y)
+                and not any(q.leq(x, z) and q.leq(z, y) for z in set(range(q.m)) - {x, y})
+            ]
+            pos = bits & q.full_position
+            members = set(mask_to_sorted(pos))
+            assert q.is_down_set(pos) == all(below(x) <= members for x in members)
             for x in range(q.m):
-                assert set(mask_to_sorted(q.down[x])) == {y for y in range(q.m) if q.leq(y, x)}
+                assert set(mask_to_sorted(q.down[x])) == below(x)
+
+
+@st.composite
+def pair_lists(draw):
+    """Pair lists over m <= 12 elements, duplicates and self-pairs allowed.
+    Half of them point upward only, so acyclic inputs come up often."""
+    m = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3 * m))
+    if draw(st.booleans()):
+        pairs = [(min(x, y), max(x, y)) for x, y in pairs]
+    return m, pairs
+
+
+class TestClosure:
+    M = 3000  # deep enough that a recursive search would hit the recursion limit
+
+    @given(pair_lists())
+    def test_matches_naive_closure(self, case):
+        m, pairs = case
+        rows = naive_closure(m, pairs)
+        mutual = {
+            (x, y)
+            for x in range(m)
+            for y in range(m)
+            if x != y and rows[x] >> y & 1 and rows[y] >> x & 1
+        }
+        if not mutual:
+            assert Poset.from_pairs(m, pairs).up == tuple(rows)
+            return
+        with pytest.raises(ValueError, match="cycle") as exc:
+            Poset.from_pairs(m, pairs)
+        x, y = map(int, re.findall(r"\d+", str(exc.value)))
+        assert (x, y) in mutual
+
+    def test_out_of_range_pair(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Poset.from_pairs(2, [(0, 2)])
+
+    def test_deep_chain_bottom_first(self):
+        p = Poset.from_pairs(self.M, [(i, i + 1) for i in range(self.M - 1)])
+        full = (1 << self.M) - 1
+        assert p.up == tuple(full & ~((1 << i) - 1) for i in range(self.M))
+
+    def test_deep_chain_top_first(self):
+        p = Poset.from_pairs(self.M, [(i + 1, i) for i in range(self.M - 1)])
+        assert p.up == tuple((1 << (i + 1)) - 1 for i in range(self.M))
+
+    def test_deep_cycle_is_value_error(self):
+        up_chain = [(i, i + 1) for i in range(self.M - 1)] + [(self.M - 1, 0)]
+        down_chain = [(i + 1, i) for i in range(self.M - 1)] + [(0, self.M - 1)]
+        for pairs in (up_chain, down_chain):
+            with pytest.raises(ValueError, match="cycle"):
+                Poset.from_pairs(self.M, pairs)
+
+    def test_parse_long_cycle(self):
+        lines = [str(self.M)] + [f"{i} {i + 1}" for i in range(self.M - 1)] + [f"{self.M - 1} 0"]
+        with pytest.raises(FormatError, match="cycle"):
+            parse_poset("\n".join(lines) + "\n")
 
 
 class TestDot:
