@@ -163,7 +163,11 @@ def cmd_play(args) -> int:
                 print(f"illegal move {mv}")
                 continue
         else:
-            mv = best_move(rules, pos, table=table)
+            try:
+                mv = best_move(rules, pos, table=table, budget=args.budget)
+            except BudgetExceeded:
+                print("undecided: budget exhausted", file=sys.stderr)
+                return 2
             if mv is None:
                 mv = moves[0]  # lost position: any move
             print(f"engine plays {rules.describe_move(mv)}")
@@ -182,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="instance file")
         p.add_argument("--game", choices=("kayles", "poset", "setgame"), required=True)
-        p.add_argument("--budget", type=int, default=None, help="max states to visit")
+        p.add_argument("--budget", type=int, default=None, help="max states to visit (play: per engine move)")
         p.set_defaults(fn=fn)
         return p
 
@@ -207,11 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write per-instance JSON records here")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("play", help="interactive play against the solver")
-    p.add_argument("input")
-    p.add_argument("--game", choices=("kayles", "poset", "setgame"), required=True)
+    p = add_solver_cmd("play", cmd_play, "interactive play against the solver")
     p.add_argument("--engine-first", action="store_true")
-    p.set_defaults(fn=cmd_play)
 
     p = sub.add_parser("export-dot", help="Hasse diagram of a poset file as DOT")
     p.add_argument("input")

@@ -11,7 +11,7 @@ BIT 10, 1970): each cone is its own bit OR the finished cones of its direct
 successors, so the work follows the pairs rather than m * m, and a back edge
 on the search stack is reported as a cycle.  The lower cones ``down`` are
 the transpose of ``up``; they are built on first use, since the game, the
-reductions and the solver only read ``up``.
+reductions, the solver and the cover relation only read ``up``.
 """
 
 from __future__ import annotations
@@ -181,18 +181,24 @@ class Poset:
         return True
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Transitive reduction: (x, y) with x < y and nothing strictly between."""
-        down = self.down
+        """Transitive reduction: (x, y) with x < y and nothing strictly between.
+
+        Ordered by x, then y.  Read from ``up`` alone: the strict cone of x is
+        walked from its lowest remaining index y, each step marking what lies
+        strictly above y and dropping y's cone from the walk.  An element
+        above some other element of the cone is marked, whatever the index
+        order, so what stays unmarked are the covers of x.
+        """
+        up = self.up
         covers = []
         for x in range(self.m):
-            strict = self.up[x] & ~(1 << x)
-            rest = strict
+            strict = up[x] ^ (1 << x)
+            rest, above = strict, 0
             while rest:
                 y = (rest & -rest).bit_length() - 1
-                between = strict & (down[y] & ~(1 << y))
-                if between == 0:
-                    covers.append((x, y))
-                rest &= rest - 1
+                above |= up[y] ^ (1 << y)
+                rest &= ~up[y]
+            covers.extend((x, y) for y in mask_to_sorted(strict & ~above))
         return covers
 
     def disjoint_sum(self, other: "Poset") -> "Poset":
@@ -321,9 +327,8 @@ def parse_poset(text: str) -> Poset:
 
 
 def format_poset(p: Poset) -> str:
-    """Serialize the strict part of <=; re-parsing restores the relation."""
+    """Serialize the cover pairs (the Hasse diagram); re-parsing closes them
+    back into the same relation."""
     lines = [str(p.m)]
-    for x in range(p.m):
-        for y in mask_to_sorted(p.up[x] & ~(1 << x)):
-            lines.append(f"{x} {y}")
+    lines.extend(f"{x} {y}" for x, y in p.cover_pairs())
     return "\n".join(lines) + "\n"

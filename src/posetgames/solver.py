@@ -14,14 +14,23 @@ connected components (``game.components``).  By the Sprague-Grundy theorem
 the value of a sum is the XOR of its parts' values, so only the parts are
 searched move by move, each once; sums and parts are both stored under
 their own masks.  Kayles paths, the padding ``psi`` adds and disjoint
-chains fall apart this way.  Win/loss search does not split: on the
-verification suites, finding components cost it more than the cutoff left
-to save.
+chains fall apart this way.
+
+Win/loss search splits only the position it is asked about (the root): a
+sum is won iff the XOR of its parts' Grundy values is nonzero.  The Grundy
+values of all parts but the largest are XORed into ``h``; if ``h`` is 0 the
+answer is the largest part's own win/loss, searched with the cutoff,
+otherwise it is whether that part's Grundy value differs from ``h``.  A
+root is not split when its first move in ``game.order`` clears it, since
+it is then connected and won.  Positions below the root are searched whole:
+on the verification suites, finding components at every position cost more
+than the cutoff left to save.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 
 
@@ -63,16 +72,13 @@ class TranspositionTable:
 @dataclass
 class SearchStats:
     """Counters of a solve.  ``states`` counts the positions searched move by
-    move; in Grundy mode these are connected positions only, since a split
-    position is the XOR of its parts."""
+    move.  A split position is not one of them: it is the XOR of its parts,
+    which are counted when searched.  Grundy search splits every position,
+    win/loss search only its root.  A solve that would count more than
+    ``budget`` states raises ``BudgetExceeded``."""
 
     states: int = 0
     budget: int | None = None
-
-    def spend(self):
-        self.states += 1
-        if self.budget is not None and self.states > self.budget:
-            raise BudgetExceeded(self.states)
 
 
 def _solve(game, pos, table, budget, stats, want_grundy: bool):
@@ -92,22 +98,49 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
         table.hits += 1
         return value
     moves = game.order
+    if not want_grundy:
+        # A move that clears the whole position shows it connected (and won)
+        # without building game.links, which costs more than a small search.
+        for legal, kill in moves:
+            if legal & pos:
+                break
+        else:
+            kill = pos  # no legal move: lost, and nothing to split
+        parts = game.components(pos) if pos & ~kill else ()
+        if len(parts) > 1:
+            # won iff the parts' values XOR to nonzero; with the others
+            # XORing to 0 that is the largest part's own win/loss, cut off
+            largest = max(parts, key=int.bit_count)
+            h = 0
+            for part in parts:
+                if part != largest:
+                    h ^= _solve(game, part, table, None, stats, True)
+            if h:
+                value = _solve(game, largest, table, None, stats, True) != h
+            else:
+                value = _solve(game, largest, table, None, stats, False)
+            memo[pos] = value
+            return value
     n = len(moves)
     hits = 0
+    states = stats.states
+    limit = sys.maxsize if stats.budget is None else stats.budget  # no budget: a bound never reached
     # Suspended frames.  A move frame (position, next move, child values seen)
     # tries the moves of a position; in Grundy mode a sum frame (position,
     # parts left, XOR so far) adds up the values of a split position's parts.
     # The loop hands a value to the top frame, then tries moves until it
     # descends into a child or the position is solved.
-    if want_grundy:
-        split = game.components
-        stack = [(pos, iter(split(pos)), 0)]
-        value = 0  # handing 0 to a fresh sum frame starts it
-    else:
-        stats.spend()
-        stack = [(pos, 0, None)]
-        value = True  # a won child sends its parent on to the next move
     try:
+        if want_grundy:
+            split = game.components
+            stack = [(pos, iter(split(pos)), 0)]
+            value = 0  # handing 0 to a fresh sum frame starts it
+        else:
+            states += 1
+            if states > limit:
+                raise BudgetExceeded(states)
+            stack = [(pos, 0, None)]
+            value = True  # a won child sends its parent on to the next move
         while True:
             while stack:
                 p, i, seen = stack.pop()
@@ -129,7 +162,9 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                     else:
                         value = memo[p] = seen
                         continue
-                    stats.spend()
+                    states += 1
+                    if states > limit:
+                        raise BudgetExceeded(states)
                     stack.append((p, i, seen))
                     p, i, seen = part, 0, set()
                     break
@@ -151,7 +186,9 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                             value = 0
                             break
                         seen = set()
-                    stats.spend()
+                    states += 1
+                    if states > limit:
+                        raise BudgetExceeded(states)
                     p, i = c, 0
                     continue
                 hits += 1
@@ -164,6 +201,7 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                 value = memo[p] = mex(seen) if want_grundy else False
     finally:
         table.hits += hits
+        stats.states = states
 
 
 def _win(game, pos: int, table: TranspositionTable, stats: SearchStats) -> bool:

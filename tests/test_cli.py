@@ -8,6 +8,7 @@ import pytest
 
 import posetgames
 from posetgames import (
+    Graph,
     complete_graph,
     disjoint_union,
     format_graph,
@@ -184,6 +185,20 @@ class TestPlay:
         out = capsys.readouterr().out
         assert "illegal move 7" in out
         assert "you win" in out
+
+    def test_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # after 0 takes 0-1, the engine's first candidate leaves {2} + P3,
+        # which needs more than one state
+        src = tmp_path / "p3p3.graph"
+        src.write_text(format_graph(Graph.of(6, [(0, 1), (1, 2), (3, 4), (4, 5)])))
+        feed = iter(["0"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+        assert main(["play", "--game", "kayles", "--budget", "1", str(src)]) == 2
+        assert "undecided: budget exhausted" in capsys.readouterr().err
+        feed = iter(["0", "2"])
+        assert main(["play", "--game", "kayles", "--budget", "100", str(src)]) == 0
+        out = capsys.readouterr().out
+        assert "engine plays vertex 3" in out and "engine wins" in out
 
     def test_eof_ends_cleanly(self, antichain3_file, capsys, monkeypatch):
         def raise_eof(prompt=""):

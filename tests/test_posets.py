@@ -145,7 +145,7 @@ class TestDownSets:
         p = random_poset(m, density, seed).disjoint_sum(chain(extra))
         for q in (p, Poset(p.m, p.up)):
             below = lambda x: {y for y in range(q.m) if q.leq(y, x)}
-            # cover_pairs and is_down_set run first, so they build down themselves
+            # cover_pairs reads up alone; is_down_set runs before down is read, so it builds down
             assert sorted(q.cover_pairs()) == [
                 (x, y)
                 for x in range(q.m)
@@ -245,6 +245,23 @@ class TestPosetFormat:
         for seed in range(20):
             p = random_poset(7, 0.35, seed)
             assert parse_poset(format_poset(p)).up == p.up
+
+    def test_writes_cover_pairs(self):
+        assert format_poset(chain(4)) == "4\n0 1\n1 2\n2 3\n"
+        for seed in range(20):
+            p = random_poset(7, 0.35, seed)
+            lines = format_poset(p).splitlines()
+            assert lines[1:] == [f"{x} {y}" for x, y in p.cover_pairs()]
+
+    @given(st.integers(1, 9), st.floats(0, 1), st.integers(0, 99), st.randoms(use_true_random=False))
+    def test_covers_do_not_depend_on_labels(self, m, density, seed, rnd):
+        # random_poset relates x < y only; relabel so index order is no linear extension
+        p = random_poset(m, density, seed)
+        perm = list(range(m))
+        rnd.shuffle(perm)
+        q = Poset.from_pairs(m, [(perm[x], perm[y]) for x, y in p.cover_pairs()])
+        assert sorted(q.cover_pairs()) == sorted((perm[x], perm[y]) for x, y in p.cover_pairs())
+        assert parse_poset(format_poset(q)).up == q.up
 
     def test_loader_closes(self):
         p = parse_poset("3\n0 1\n1 2\n")

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import xor
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +142,17 @@ def set_family(universe):
     return st.lists(st.frozensets(st.integers(0, universe - 1), max_size=universe), max_size=4)
 
 
+def outcome(value):
+    """The winner a Grundy value implies: nonzero wins for the player to move."""
+    return GameValue.WIN if value else GameValue.LOSS
+
+
+def assert_solves(game, pos, want):
+    """Both searches agree with the oracle's Grundy value ``want`` at ``pos``."""
+    assert grundy(game, pos) == want
+    assert solve_winner(game, pos) is outcome(want)
+
+
 def play(game, data, steps):
     """The position after up to ``steps`` random moves from the start."""
     pos = game.initial()
@@ -157,7 +171,7 @@ class TestSplitPositions:
     @settings(max_examples=40, deadline=None)
     def test_kayles_disjoint_union(self, a, b):
         g = disjoint_union(a, b)
-        assert grundy(KaylesGame(g)) == naive_kayles_grundy(g)
+        assert_solves(KaylesGame(g), None, naive_kayles_grundy(g))
 
     @given(
         st.integers(1, 5), st.floats(0, 1), st.integers(0, 99),
@@ -166,20 +180,20 @@ class TestSplitPositions:
     @settings(max_examples=40, deadline=None)
     def test_poset_disjoint_sum(self, m1, d1, s1, m2, d2, s2):
         p = random_poset(m1, d1, s1).disjoint_sum(random_poset(m2, d2, s2))
-        assert grundy(PosetGame(p)) == naive_poset_grundy(p)
+        assert_solves(PosetGame(p), None, naive_poset_grundy(p))
 
     @given(set_family(5), set_family(4))
     @settings(max_examples=40, deadline=None)
     def test_setgame_disjoint_groups(self, left, right):
         sets = left + [frozenset(e + 5 for e in s) for s in right]
-        assert grundy(SetGameRules(SetGame(9, tuple(sets)))) == naive_setgame_grundy(sets)
+        assert_solves(SetGameRules(SetGame(9, tuple(sets))), None, naive_setgame_grundy(sets))
 
     @given(small_graph(9), st.integers(0, 3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_kayles_mid_game(self, g, steps, data):
         game = KaylesGame(g)
         pos = play(game, data, steps)
-        assert grundy(game, pos) == naive_kayles_grundy(g, frozenset(mask_to_sorted(pos)))
+        assert_solves(game, pos, naive_kayles_grundy(g, frozenset(mask_to_sorted(pos))))
 
     @given(st.integers(1, 9), st.floats(0, 1), st.integers(0, 99), st.integers(0, 3), st.data())
     @settings(max_examples=40, deadline=None)
@@ -187,7 +201,7 @@ class TestSplitPositions:
         p = random_poset(m, density, seed)
         game = PosetGame(p)
         pos = play(game, data, steps)
-        assert grundy(game, pos) == naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
+        assert_solves(game, pos, naive_poset_grundy(p, frozenset(mask_to_sorted(pos))))
 
     @given(set_family(9), st.integers(0, 3), st.data())
     @settings(max_examples=40, deadline=None)
@@ -196,7 +210,7 @@ class TestSplitPositions:
         pos = play(game, data, steps)
         # elements in no set are inert; the oracle leaves them out
         alive = frozenset(mask_to_sorted(pos)) & frozenset().union(*sets)
-        assert grundy(game, pos) == naive_setgame_grundy(sets, alive)
+        assert_solves(game, pos, naive_setgame_grundy(sets, alive))
 
     def test_deleted_vertex_does_not_link_its_neighbours(self):
         table = TranspositionTable()
@@ -220,11 +234,75 @@ class TestStateCounts:
         assert stats.states < 1_000
 
     def test_two_reversed_chains(self):
-        m = 300
-        pairs = [(x + 1, x) for x in range(m - 1)] + [(m + x + 1, m + x) for x in range(m - 1)]
         stats = SearchStats()
-        assert grundy(PosetGame(Poset.from_pairs(2 * m, pairs)), stats=stats) == 0
-        assert stats.states <= 2 * m
+        assert grundy(reversed_chains(300, 300), stats=stats) == 0
+        assert stats.states <= 600
+
+
+def reversed_chains(*lengths):
+    """Disjoint chains listed top-first (x+1 <= x), so the lowest-index move
+    removes only a top element and a search of the whole sum runs deep."""
+    pairs, base = [], 0
+    for length in lengths:
+        pairs += [(base + x + 1, base + x) for x in range(length - 1)]
+        base += length
+    return PosetGame(Poset.from_pairs(base, pairs))
+
+
+class TestSplitRoot:
+    """Win/loss search answers a split root from its parts' Grundy values."""
+
+    @pytest.mark.parametrize("lengths, want", [((120, 100), GameValue.WIN), ((100, 100), GameValue.LOSS)])
+    def test_reversed_chains(self, lengths, want):
+        stats = SearchStats()
+        assert solve_winner(reversed_chains(*lengths), stats=stats) is want
+        assert stats.states <= 300
+
+    # a chain of length k is the nim heap k; (1, 1, 1), (3, 3, 1) and
+    # (6, 5, 3) XOR differently than they OR
+    @pytest.mark.parametrize("lengths", [(1, 1, 1), (3, 3, 1), (3, 2, 1), (6, 5, 3), (4, 4), (5, 2, 2)])
+    def test_chain_sums_are_nim_sums(self, lengths):
+        assert solve_winner(reversed_chains(*lengths)) is outcome(reduce(xor, lengths))
+
+    @pytest.mark.parametrize("lengths", [(3, 2, 2), (3, 2, 1)])
+    def test_shared_table_keeps_each_type(self, lengths):
+        game = reversed_chains(*lengths)
+        want = reduce(xor, lengths)
+        grundy_first, winner_first = TranspositionTable(), TranspositionTable()
+        assert grundy(game, table=grundy_first) == want
+        assert solve_winner(game, table=grundy_first) is outcome(want)
+        assert solve_winner(game, table=winner_first) is outcome(want)
+        value = grundy(game, table=winner_first)
+        assert type(value) is int and value == want
+        for table in (grundy_first, winner_first):
+            assert all(type(v) is bool for v in table.wins.values())
+            assert all(type(v) is int for v in table.values.values())
+
+    @given(small_graph(5), small_graph(4))
+    @settings(max_examples=40, deadline=None)
+    def test_best_move_on_a_sum(self, a, b):
+        g = disjoint_union(a, b)
+        game = KaylesGame(g)
+        if not g.n:
+            return
+        mv = best_move(game)
+        if mv is None:
+            assert naive_kayles_grundy(g) == 0
+        else:
+            left = mask_to_sorted(game.child(game.initial(), mv))
+            assert naive_kayles_grundy(g, frozenset(left)) == 0
+
+    def test_root_cleared_by_one_move_is_not_split(self):
+        # the bottom of a chain clears it, so no link masks are built
+        game = PosetGame(chain(1500))
+        assert solve_winner(game) is GameValue.WIN
+        assert "links" not in game.__dict__
+
+    def test_budget_counts_the_parts(self):
+        stats = SearchStats()
+        with pytest.raises(BudgetExceeded) as exc:
+            solve_winner(KaylesGame(disjoint_union(C8, C8)), budget=3, stats=stats)
+        assert exc.value.states == stats.states == 4
 
 
 class TestBestMove:
