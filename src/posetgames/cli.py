@@ -53,42 +53,28 @@ def _write(path: str | None, text: str):
         Path(path).write_text(text)
 
 
-def cmd_winner(args) -> int:
+def cmd_solve(args) -> int:
+    """``winner`` prints first/second and exits 0/1; ``grundy`` prints the value."""
     rules = _load_game(args.input, args.game)
     stats = SearchStats(budget=args.budget)
     t0 = time.perf_counter()
     table = TranspositionTable()
+    solve = solve_winner if args.command == "winner" else grundy
     try:
-        value = solve_winner(rules, table=table, stats=stats)
+        value = solve(rules, table=table, stats=stats)
     except BudgetExceeded:
         print("undecided: budget exhausted", file=sys.stderr)
         return 2
-    _stats_line(stats, table, t0)
-    print("first" if value is GameValue.WIN else "second")
-    return 0 if value is GameValue.WIN else 1
-
-
-def cmd_grundy(args) -> int:
-    rules = _load_game(args.input, args.game)
-    stats = SearchStats(budget=args.budget)
-    t0 = time.perf_counter()
-    table = TranspositionTable()
-    try:
-        value = grundy(rules, table=table, stats=stats)
-    except BudgetExceeded:
-        print("undecided: budget exhausted", file=sys.stderr)
-        return 2
-    _stats_line(stats, table, t0)
-    print(value)
-    return 0
-
-
-def _stats_line(stats: SearchStats, table: TranspositionTable, t0: float):
     millis = (time.perf_counter() - t0) * 1000
     print(
         f"states={stats.states} hits={table.hits} millis={millis:.1f}",
         file=sys.stderr,
     )
+    if args.command == "grundy":
+        print(value)
+        return 0
+    print("first" if value is GameValue.WIN else "second")
+    return 0 if value is GameValue.WIN else 1
 
 
 def cmd_reduce(args) -> int:
@@ -190,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add_solver_cmd("winner", cmd_winner, "print which player wins (first/second)")
-    add_solver_cmd("grundy", cmd_grundy, "print the Grundy number of the full position")
+    add_solver_cmd("winner", cmd_solve, "print which player wins (first/second)")
+    add_solver_cmd("grundy", cmd_solve, "print the Grundy number of the full position")
 
     p = sub.add_parser("reduce", help="rewrite an instance into another game")
     p.add_argument("input")
@@ -207,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None, help="largest source-graph size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (verify only)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, for any suite; the report is the same")
     p.add_argument("--out", default=None, help="write per-instance JSON records here")
     p.set_defaults(fn=cmd_verify)
 

@@ -57,10 +57,6 @@ class MaskGame:
             raise ValueError(f"{self.describe_move(i)} is not available")
         return self.child(pos, i)
 
-    def remaining(self, pos: int, i: int) -> int:
-        """What is left of move i's legal mask; for the set game, of set i."""
-        return self.legal[i] & pos
-
     def describe_move(self, i: int) -> str:
         return f"{self.noun} {i}"
 

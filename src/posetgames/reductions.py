@@ -10,9 +10,10 @@ collection of its upper cones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .games import SetGame
-from .graphs import Graph, complete_graph, disjoint_union
+from .graphs import Graph
 from .posets import Poset
 
 Edge = tuple[int, int]
@@ -24,10 +25,9 @@ def psi(g: Graph) -> Graph:
     New vertices take the highest indices, K2 first.  The result always has
     an odd number of edges, and every vertex has an edge not incident to it.
     """
-    out = disjoint_union(g, complete_graph(2))
-    if len(g.edges) % 2 == 1:
-        return disjoint_union(out, complete_graph(2))
-    return disjoint_union(out, complete_graph(4))
+    k = 2 if len(g.edges) % 2 == 1 else 4
+    pad = [(0, 1), *combinations(range(2, 2 + k), 2)]
+    return Graph(g.n + 2 + k, g.edges | frozenset((u + g.n, v + g.n) for u, v in pad))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Brute-force verification suites for the reductions.
 
-Each suite drives a check over enumerated small graphs (or sampled random
-posets), solving both sides with the exhaustive solver and reporting any
-disagreement as a failure with the full instance attached.  Runs are
+A suite is a stream of units: enumerated small source graphs, or for
+``setgame`` posets.  Each unit runs its checks, solving both sides with the
+exhaustive solver and reporting any disagreement as a failure with the full
+instance attached.  ``run_suite`` maps one function over the units, in this
+process or in ``jobs`` workers, with the same report either way.  Runs are
 deterministic for a fixed config, including the sampling seed.
 """
 
@@ -11,7 +13,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 from .games import KaylesGame, PosetGame, SetGameRules
 from .graphs import ENUMERATION_CAP, Graph, enumerate_labeled_graphs, format_graph
@@ -30,23 +33,25 @@ from .solver import (
 DEFAULT_SEED = 1381187924
 DEFAULT_BUDGET = 5_000_000
 
-SUITES = ("theorem", "lemma1", "lemma2", "lemma3", "lemma4", "setgame", "psi")
-
 # exhaustive (chosen, e) cross products are only affordable for tiny sources;
 # larger sources get a fixed-size seeded sample per graph
 LEMMA_EXHAUSTIVE_MAX_N = 3
 LEMMA_MAX_N = 4
 LEMMA_SAMPLES_PER_GRAPH = 32
 
-_SUITE_DEFAULT_MAX_N = {
-    "theorem": 4,
-    "lemma1": 5,
-    "lemma2": LEMMA_MAX_N,
-    "lemma3": LEMMA_MAX_N,
-    "lemma4": LEMMA_MAX_N,
-    "setgame": 3,
-    "psi": 6,
+# suite -> (default max_n, largest max_n accepted).  setgame Grundy-solves
+# the phi images of its sources on both sides: max_n=4 takes about 21 s
+# against 0.7 s at 3 (2-CPU VM, Python 3.11).
+_SUITE_MAX_N = {
+    "theorem": (4, ENUMERATION_CAP),
+    "lemma1": (5, ENUMERATION_CAP),
+    "lemma2": (LEMMA_MAX_N, LEMMA_MAX_N),
+    "lemma3": (LEMMA_MAX_N, LEMMA_MAX_N),
+    "lemma4": (LEMMA_MAX_N, LEMMA_MAX_N),
+    "setgame": (3, 3),
+    "psi": (6, ENUMERATION_CAP),
 }
+SUITES = tuple(_SUITE_MAX_N)
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class SuiteConfig:
     max_poset_elements: int = 12
 
     def resolved_max_n(self) -> int:
-        return self.max_n if self.max_n is not None else _SUITE_DEFAULT_MAX_N[self.suite]
+        return self.max_n if self.max_n is not None else _SUITE_MAX_N[self.suite][0]
 
     def check(self):
         if self.suite not in SUITES:
@@ -70,10 +75,9 @@ class SuiteConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         n = self.resolved_max_n()
-        if n > ENUMERATION_CAP:
-            raise ValueError(f"max_n={n} exceeds enumeration cap {ENUMERATION_CAP}")
-        if self.suite.startswith("lemma") and self.suite != "lemma1" and n > LEMMA_MAX_N:
-            raise ValueError(f"max_n={n} exceeds {self.suite} cap {LEMMA_MAX_N}")
+        cap = _SUITE_MAX_N[self.suite][1]
+        if n > cap:
+            raise ValueError(f"max_n={n} exceeds {self.suite} cap {cap}")
 
 
 @dataclass
@@ -364,119 +368,83 @@ def _lemma_cases(ctx: BOnlyContext, which: int, graph_index: int, seed: int):
         yield frozenset(chosen), e
 
 
-def _run_lemma_suite(which: int, check, cfg: SuiteConfig, psi_fn, phi_fn):
-    results = []
+# lemma suite -> (endpoints of e in the chosen set, check)
+_LEMMA_CHECKS = {"lemma2": (2, check_lemma2), "lemma3": (1, check_lemma3), "lemma4": (0, check_lemma4)}
+
+
+def _units(cfg: SuiteConfig, psi_fn, phi_fn):
+    """(name, index, instance) for each unit of a suite, in report order:
+    the source graphs, or for ``setgame`` their phi images, then random posets."""
     for n in range(1, cfg.resolved_max_n() + 1):
         for gi, g in enumerate(enumerate_labeled_graphs(n)):
-            ctx = BOnlyContext(g, cfg.budget, psi_fn, phi_fn)
-            before = 0
-            for ci, (chosen, e) in enumerate(_lemma_cases(ctx, which, gi, cfg.seed)):
-                t0 = time.perf_counter()
-                res = check(g, chosen, e, ctx=ctx)
-                millis = (time.perf_counter() - t0) * 1000
-                states = res.states - before
-                before = res.states
-                results.append(
-                    InstanceResult(f"n={n}/g={gi}/case={ci}", res.verdict, states, millis, res.detail)
-                )
+            if cfg.suite == "setgame":
+                yield f"phi-image/n={n}/g={gi}", gi, phi_fn(psi_fn(g)).poset
+            else:
+                yield f"n={n}/g={gi}", gi, g
+    if cfg.suite == "setgame":
+        for i in range(cfg.random_posets):
+            rng = random.Random(cfg.seed * 1_000_003 + i)
+            m = rng.randint(1, cfg.max_poset_elements)
+            density = rng.uniform(0.1, 0.9)
+            yield f"random/{i}/m={m}", i, random_poset(m, density, cfg.seed * 7_919 + i)
+
+
+def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
+    """Run and time each check of one unit.
+
+    A lemma unit has one check per (chosen, e) case, on one shared context
+    that counts states across them; each result gets the states its own
+    check added.
+    """
+    name, index, instance = unit
+    if cfg.suite == "theorem":
+        checks = [(name, partial(check_theorem, instance, cfg.budget, psi_fn, phi_fn))]
+    elif cfg.suite == "lemma1":
+        checks = [(name, partial(check_lemma1, instance, cfg.budget, psi_fn))]
+    elif cfg.suite == "psi":
+        checks = [(name, partial(check_psi_properties, instance, psi_fn))]
+    elif cfg.suite == "setgame":
+        checks = [(name, partial(check_setgame_equiv, instance, cfg.budget))]
+    else:
+        which, lemma = _LEMMA_CHECKS[cfg.suite]
+        ctx = BOnlyContext(instance, cfg.budget, psi_fn, phi_fn)
+        cases = enumerate(_lemma_cases(ctx, which, index, cfg.seed))
+        checks = (
+            (f"{name}/case={ci}", partial(lemma, instance, chosen, e, ctx=ctx))
+            for ci, (chosen, e) in cases
+        )
+    results = []
+    before = 0
+    for case, check in checks:
+        t0 = time.perf_counter()
+        res = check()
+        millis = (time.perf_counter() - t0) * 1000
+        results.append(InstanceResult(case, res.verdict, res.states - before, millis, res.detail))
+        before = res.states
     return results
 
 
-def _graph_instances(cfg: SuiteConfig):
-    for n in range(1, cfg.resolved_max_n() + 1):
-        for gi, g in enumerate(enumerate_labeled_graphs(n)):
-            yield f"n={n}/g={gi}", g
-
-
-def _setgame_instances(cfg: SuiteConfig, psi_fn, phi_fn):
-    limit = min(cfg.resolved_max_n(), 3)
-    for n in range(1, limit + 1):
-        for gi, g in enumerate(enumerate_labeled_graphs(n)):
-            yield f"phi-image/n={n}/g={gi}", phi_fn(psi_fn(g)).poset
-    for i in range(cfg.random_posets):
-        rng = random.Random(cfg.seed * 1_000_003 + i)
-        m = rng.randint(1, cfg.max_poset_elements)
-        density = rng.uniform(0.1, 0.9)
-        yield f"random/{i}/m={m}", random_poset(m, density, cfg.seed * 7_919 + i)
-
-
-def _timed(check, instance):
-    t0 = time.perf_counter()
-    res = check(instance)
-    millis = (time.perf_counter() - t0) * 1000
-    return res, millis
-
-
-_LEMMA_WHICH = {"lemma2": 2, "lemma3": 1, "lemma4": 0}
-_LEMMA_CHECKS = {"lemma2": check_lemma2, "lemma3": check_lemma3, "lemma4": check_lemma4}
-
-
 def run_suite(config: SuiteConfig, psi_fn=psi, phi_fn=phi) -> SuiteReport:
-    """Run one verification suite; deterministic for a fixed config."""
+    """Run one verification suite; deterministic for a fixed config.
+
+    With ``jobs > 1`` the units, ``psi_fn`` and ``phi_fn`` are pickled to a
+    process pool, which returns the units' results in the same order.
+    """
     config.check()
     t0 = time.perf_counter()
-    suite = config.suite
-    if suite in _LEMMA_WHICH:
-        results = _run_lemma_suite(
-            _LEMMA_WHICH[suite], _LEMMA_CHECKS[suite], config, psi_fn, phi_fn
-        )
-    elif suite == "psi":
-        results = [
-            InstanceResult(name, *_flatten(_timed(lambda g: check_psi_properties(g, psi_fn), g)))
-            for name, g in _graph_instances(config)
-        ]
-    elif suite == "lemma1":
-        results = [
-            InstanceResult(name, *_flatten(_timed(lambda g: check_lemma1(g, config.budget, psi_fn), g)))
-            for name, g in _graph_instances(config)
-        ]
-    elif suite == "theorem":
-        results = _map_instances(
-            config,
-            list(_graph_instances(config)),
-            lambda g: check_theorem(g, config.budget, psi_fn, phi_fn),
-            psi_fn,
-            phi_fn,
-        )
-    elif suite == "setgame":
-        results = [
-            InstanceResult(name, *_flatten(_timed(lambda p: check_setgame_equiv(p, config.budget), p)))
-            for name, p in _setgame_instances(config, psi_fn, phi_fn)
-        ]
-    else:  # pragma: no cover - guarded by config.check()
-        raise ValueError(suite)
-    report = SuiteReport(suite, config, results)
+    run = partial(_run_unit, config, psi_fn, phi_fn)
+    units = _units(config, psi_fn, phi_fn)
+    if config.jobs == 1:
+        per_unit = map(run, units)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs load it
+
+        units = list(units)
+        # eight chunks per worker: few round trips, and late chunks even out uneven units
+        chunksize = max(1, len(units) // (8 * config.jobs))
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            per_unit = list(pool.map(run, units, chunksize=chunksize))
+    results = [r for unit_results in per_unit for r in unit_results]
+    report = SuiteReport(config.suite, config, results)
     report.wall_millis = (time.perf_counter() - t0) * 1000
     return report
-
-
-def _flatten(timed_result):
-    res, millis = timed_result
-    return res.verdict, res.states, millis, res.detail
-
-
-def _theorem_worker(args):
-    name, text, budget = args
-    from .graphs import parse_graph
-
-    res, millis = _timed(lambda g: check_theorem(g, budget), parse_graph(text))
-    return InstanceResult(name, res.verdict, res.states, millis, res.detail)
-
-
-def _map_instances(config, named, check, psi_fn, phi_fn):
-    if config.jobs > 1 and psi_fn is psi and phi_fn is phi:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(name, format_graph(g), config.budget) for name, g in named]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(_theorem_worker, args))
-    return [InstanceResult(name, *_flatten(_timed(check, g))) for name, g in named]
-
-
-def run_all(config: SuiteConfig) -> list[SuiteReport]:
-    """Run every suite with its default regime, reusing seed/budget/jobs."""
-    reports = []
-    for suite in SUITES:
-        cfg = replace(config, suite=suite, max_n=None)
-        reports.append(run_suite(cfg))
-    return reports

@@ -65,7 +65,7 @@ class TestWinner:
         def boom(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "cmd_winner", boom)
+        monkeypatch.setattr(cli, "cmd_solve", boom)
         assert main(["winner", "--game", "poset", antichain3_file]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1] == "error: internal RuntimeError: boom"

@@ -74,14 +74,14 @@ class TestSetGame:
     def test_disjoint_singletons(self):
         rules = SetGameRules(SetGame(2, (frozenset({0}), frozenset({1}))))
         after = rules.apply(rules.initial(), 0)
-        assert rules.remaining(after, 0) == 0
-        assert rules.remaining(after, 1) == 0b10
+        assert (rules.legal[0] & after) == 0
+        assert (rules.legal[1] & after) == 0b10
 
     def test_overlap(self):
         rules = SetGameRules(SetGame(3, (frozenset({0, 1}), frozenset({1, 2}))))
         after = rules.apply(rules.initial(), 0)
-        assert rules.remaining(after, 0) == 0
-        assert rules.remaining(after, 1) == 0b100
+        assert (rules.legal[0] & after) == 0
+        assert (rules.legal[1] & after) == 0b100
 
     def test_empty_pick_rejected(self):
         rules = SetGameRules(SetGame(2, (frozenset({0}), frozenset({1}))))

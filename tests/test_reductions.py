@@ -56,6 +56,12 @@ class TestPsi:
             for v in range(h.n):
                 assert any(v not in e for e in h.edges)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_union_of_complete_graphs(self, n):
+        for g in enumerate_labeled_graphs(n):
+            last = complete_graph(2 if len(g.edges) % 2 == 1 else 4)
+            assert psi(g) == disjoint_union(disjoint_union(g, complete_graph(2)), last)
+
 
 class TestPhi:
     def test_k2_shape(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from posetgames.reductions import PhiImage
 from posetgames.verify import (
     BOnlyContext,
     DEFAULT_SEED,
+    SUITES,
     SuiteConfig,
     check_lemma1,
     check_lemma2,
@@ -126,6 +128,14 @@ class TestSetGameCheck:
         assert check_setgame_equiv(random_poset(10, 0.3, 7)).verdict == "pass"
 
 
+def strip_millis(report):
+    """The report's JSON records without their timing field."""
+    return [
+        {k: v for k, v in json.loads(line).items() if k != "millis"}
+        for line in report.to_records().splitlines()
+    ]
+
+
 class TestRunSuite:
     def test_theorem_counts(self):
         report = run_suite(SuiteConfig(suite="theorem", max_n=3))
@@ -141,9 +151,10 @@ class TestRunSuite:
         report = run_suite(SuiteConfig(suite="psi", max_n=4))
         assert report.passed
 
-    def test_over_cap_rejected(self):
+    @pytest.mark.parametrize("suite, max_n", [("lemma2", 9), ("setgame", 4), ("theorem", 7)])
+    def test_over_cap_rejected(self, suite, max_n):
         with pytest.raises(ValueError, match="cap"):
-            run_suite(SuiteConfig(suite="lemma2", max_n=9))
+            run_suite(SuiteConfig(suite=suite, max_n=max_n))
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -152,11 +163,7 @@ class TestRunSuite:
     def test_records_deterministic(self):
         cfg = SuiteConfig(suite="setgame", max_n=2, random_posets=10)
         a, b = run_suite(cfg), run_suite(cfg)
-        strip = lambda rep: [
-            {k: v for k, v in json.loads(line).items() if k != "millis"}
-            for line in rep.to_records().splitlines()
-        ]
-        assert strip(a) == strip(b)
+        assert strip_millis(a) == strip_millis(b)
 
     def test_report_text_shape(self):
         text = run_suite(SuiteConfig(suite="theorem", max_n=2)).to_text()
@@ -164,12 +171,12 @@ class TestRunSuite:
         assert text.rstrip().endswith("PASS")
         assert f"seed={DEFAULT_SEED}" in text
 
-    def test_jobs_match_sequential(self):
-        cfg1 = SuiteConfig(suite="theorem", max_n=3, jobs=1)
-        cfg2 = SuiteConfig(suite="theorem", max_n=3, jobs=2)
-        seq, par = run_suite(cfg1), run_suite(cfg2)
-        pick = lambda rep: [(r.instance, r.verdict) for r in rep.results]
-        assert pick(seq) == pick(par)
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_jobs_match_sequential(self, suite):
+        cfg = SuiteConfig(suite=suite, max_n=3, random_posets=10)
+        seq, par = run_suite(cfg), run_suite(replace(cfg, jobs=2))
+        assert seq.results
+        assert strip_millis(seq) == strip_millis(par)
 
 
 def drop_one_low_relation(g):
@@ -201,6 +208,10 @@ def single_k3_padding(g):
 class TestMutationSensitivity:
     def test_corrupted_phi_detected_by_theorem_suite(self):
         report = run_suite(SuiteConfig(suite="theorem", max_n=3), phi_fn=drop_one_low_relation)
+        assert len(report.failures) >= 1
+
+    def test_corrupted_phi_reaches_workers(self):
+        report = run_suite(SuiteConfig(suite="theorem", max_n=3, jobs=2), phi_fn=drop_one_low_relation)
         assert len(report.failures) >= 1
 
     def test_corrupted_psi_detected(self):
