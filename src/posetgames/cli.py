@@ -193,7 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None, help="largest source-graph size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, for any suite; the report is the same")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, for any suite; the report is the same. A pool is no faster on the"
+        " default regimes and pays on long runs such as theorem --max-n 5",
+    )
     p.add_argument("--out", default=None, help="write per-instance JSON records here")
     p.set_defaults(fn=cmd_verify)
 

@@ -78,6 +78,37 @@ class MaskGame:
                 rest ^= low
         return tuple(a | b for a, b in zip(links, transpose(self.size, links)))
 
+    @cached_property
+    def twins(self) -> tuple[tuple[int, int], ...]:
+        """``twins[k]``: ``(rows, loose)`` for the move ``order[k]``, built on
+        first use.
+
+        In an element game (move x is legal iff x is in the position, and it
+        kills x: Kayles, the poset game) x has an out-row, the elements x
+        kills, and an in-row, the moves that kill x, both without x itself.
+        ``rows`` holds the out-row in its low ``size`` bits and the in-row
+        above them, so ``rows & (p | p << size)`` is the pair of rows within
+        a position p.  ``loose`` holds the elements that could be x's twin:
+        the others that are in neither row.
+
+        Two elements of p are twins when their rows within p are equal.
+        Swapping them then maps the kill mask of every move legal in p,
+        within p, onto that of its image, so it is an automorphism of p and
+        their children have the same value.  Other rules get all-zero
+        entries: nothing is ever a twin there.
+        """
+        n = self.size
+        moves = enumerate(zip(self.legal, self.kill))
+        if len(self.legal) != n or any(legal != 1 << x or not kill >> x & 1 for x, (legal, kill) in moves):
+            return ((0, 0),) * len(self.order)
+        cols = transpose(n, self.kill)
+        full = (1 << n) - 1
+        twins = []
+        for legal, kill in self.order:
+            out, inn = kill ^ legal, cols[legal.bit_length() - 1] ^ legal
+            twins.append((out | inn << n, full ^ (out | inn | legal)))
+        return tuple(twins)
+
     def components(self, pos: int) -> list[int]:
         """The connected components of ``pos``, lowest element first.
 

@@ -25,6 +25,21 @@ root is not split when its first move in ``game.order`` clears it, since
 it is then connected and won.  Positions below the root are searched whole:
 on the verification suites, finding components at every position cost more
 than the cutoff left to save.
+
+Win/loss search also skips twin moves.  In Kayles and the poset game two
+elements of a position are twins when each kills the same other elements
+of the position and is killed by the same other moves (``game.twins``):
+swapping them is then an automorphism of the position, so their children
+have the same value.  A move frame reaches its second legal move only when
+the first child was won, and so on, so a move whose twin was tried earlier
+in the same frame leads to a won child too and is skipped.  The frame keeps
+the keys (both rows within the position) of the moves it has tried, from
+its second legal move on, and only for moves that could have a twin in the
+position.  The paper's reduction is full of twins (``psi`` pads with
+complete graphs, and ``phi`` gives vertices with equal neighbourhoods equal
+cones), so this cuts the states of ``verify --suite theorem --max-n 5``
+from 1 071 380 to 318 028.  Grundy search does not look for twins: it needs
+every child's value anyway.
 """
 
 from __future__ import annotations
@@ -122,12 +137,18 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
             memo[pos] = value
             return value
     n = len(moves)
+    twins = None  # game.twins, fetched when a win/loss frame first needs it
+    size = game.size
+    pp = 0  # p | p << size, the mask that cuts a move's twin key out of its rows
     hits = 0
     states = stats.states
     limit = sys.maxsize if stats.budget is None else stats.budget  # no budget: a bound never reached
-    # Suspended frames.  A move frame (position, next move, child values seen)
-    # tries the moves of a position; in Grundy mode a sum frame (position,
-    # parts left, XOR so far) adds up the values of a split position's parts.
+    # Suspended frames.  A move frame (position, next move, seen) tries the
+    # moves of a position.  In Grundy mode ``seen`` is the set of child values
+    # so far, and a sum frame (position, parts left, XOR so far) adds up the
+    # values of a split position's parts.  In win/loss mode ``seen`` is None
+    # before the first legal move, then that move's place in the order plus
+    # one, then from the second legal move on the set of twin keys tried.
     # The loop hands a value to the top frame, then tries moves until it
     # descends into a child or the position is solved.
     try:
@@ -145,7 +166,8 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
             while stack:
                 p, i, seen = stack.pop()
                 if not want_grundy:
-                    if value:
+                    if value:  # the child was won: back to this frame's next move
+                        pp = p | p << size
                         break
                     value = memo[p] = True
                 elif type(seen) is set:
@@ -170,35 +192,66 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                     break
             else:
                 return value
-            while i < n:
-                legal, kill = moves[i]
-                i += 1
-                if not legal & p:
-                    continue
-                c = p & ~kill
-                v = memo.get(c)
-                if v is None:
-                    stack.append((p, i, seen))
-                    if want_grundy:
+            if want_grundy:
+                while i < n:
+                    legal, kill = moves[i]
+                    i += 1
+                    if not legal & p:
+                        continue
+                    c = p & ~kill
+                    v = memo.get(c)
+                    if v is None:
+                        stack.append((p, i, seen))
                         parts = split(c)
                         if len(parts) != 1:
                             stack.append((c, iter(parts), 0))
                             value = 0
                             break
                         seen = set()
+                        states += 1
+                        if states > limit:
+                            raise BudgetExceeded(states)
+                        p, i = c, 0
+                        continue
+                    hits += 1
+                    seen.add(v)
+                else:
+                    value = memo[p] = mex(seen)
+                continue
+            while i < n:
+                legal, kill = moves[i]
+                i += 1
+                if not legal & p:
+                    continue
+                if seen:  # every move tried here so far led to a won child
+                    if type(seen) is int:  # the second legal move: key the first
+                        if twins is None:
+                            twins = game.twins
+                        pp = p | p << size
+                        seen = {twins[seen - 1][0] & pp}
+                    rows, loose = twins[i - 1]
+                    if loose & p:
+                        key = rows & pp
+                        if key in seen:
+                            continue  # a twin of a move tried here: won too
+                        seen.add(key)
+                else:
+                    seen = i
+                c = p & ~kill
+                v = memo.get(c)
+                if v is None:
+                    stack.append((p, i, seen))
                     states += 1
                     if states > limit:
                         raise BudgetExceeded(states)
-                    p, i = c, 0
+                    p, i, seen = c, 0, None
                     continue
                 hits += 1
-                if want_grundy:
-                    seen.add(v)
-                elif not v:
+                if not v:
                     value = memo[p] = True
                     break
             else:
-                value = memo[p] = mex(seen) if want_grundy else False
+                value = memo[p] = False
     finally:
         table.hits += hits
         stats.states = states

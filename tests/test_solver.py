@@ -30,6 +30,7 @@ from posetgames import (
     solve_winner,
 )
 from posetgames.posets import mask_to_sorted
+from posetgames.verify import SuiteConfig, run_suite
 from oracle import naive_kayles_grundy, naive_poset_grundy, naive_setgame_grundy
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
@@ -238,6 +239,32 @@ class TestStateCounts:
         assert grundy(reversed_chains(300, 300), stats=stats) == 0
         assert stats.states <= 600
 
+    def test_two_bottoms_below_twenty_tops(self):
+        # the tops are all twins, and so are the bottoms: 28 659 states without
+        # skipping twin moves
+        stats = SearchStats()
+        game = PosetGame(Poset.from_pairs(22, [(b, t) for b in (0, 1) for t in range(2, 22)]))
+        assert solve_winner(game, stats=stats) is GameValue.LOSS
+        assert stats.states <= 30
+
+    def test_phi_psi_k5(self):
+        stats = SearchStats()
+        assert solve_winner(PosetGame(phi(psi(complete_graph(5))).poset), stats=stats) is GameValue.WIN
+        assert stats.states <= 500  # 11 350 without skipping twin moves
+
+    def test_theorem_up_to_five_vertices(self):
+        report = run_suite(SuiteConfig("theorem", max_n=5))
+        assert len(report.results) == 1099 and not report.failures and not report.inconclusives
+        assert sum(r.states for r in report.results) <= 400_000  # 1 071 380 without
+
+    def test_twins_built_only_by_a_later_win_loss_move(self):
+        chain_game = PosetGame(chain(1500))
+        assert solve_winner(chain_game) is GameValue.WIN  # its first move clears it
+        assert "twins" not in chain_game.__dict__
+        for game in (KaylesGame(psi(P3)), PosetGame(phi(psi(complete_graph(3))).poset), reversed_chains(4, 3)):
+            grundy(game)
+            assert "twins" not in game.__dict__
+
 
 def reversed_chains(*lengths):
     """Disjoint chains listed top-first (x+1 <= x), so the lowest-index move
@@ -386,3 +413,107 @@ class TestAgainstNaiveOracle:
     def test_setgame(self, m, density, seed):
         s = poset_to_setgame(random_poset(m, density, seed))
         assert grundy(SetGameRules(s)) == naive_setgame_grundy(list(s.sets))
+
+
+def with_poset_twins(p, picks):
+    """``p`` with one new element per pick, a twin of element ``pick % m``:
+    the same elements strictly above and below it, and incomparable to it."""
+    for pick in picks:
+        m = p.m
+        x = pick % m
+        pairs = [(a, b) for a in range(m) for b in mask_to_sorted(p.up[a]) if a != b]
+        pairs += [(m, b) for b in mask_to_sorted(p.up[x]) if b != x]
+        pairs += [(a, m) for a in range(m) if a != x and p.up[a] >> x & 1]
+        p = Poset.from_pairs(m + 1, pairs)
+    return p
+
+
+def with_graph_twins(g, picks, adjacent):
+    """``g`` with one new vertex per pick, joined to the neighbours of vertex
+    ``pick % n``, and to that vertex itself when ``adjacent`` is set."""
+    edges = set(g.edges)
+    n = g.n
+    for pick in picks:
+        x = pick % n
+        edges |= {(v if u == x else u, n) for u, v in edges if x in (u, v)}
+        if adjacent:
+            edges.add((x, n))
+        n += 1
+    return Graph.of(n, edges)
+
+
+def assert_wins_stored_right(game, table):
+    """Every win/loss the search stored agrees with the Grundy search, which
+    does not skip twins."""
+    values = TranspositionTable()
+    for pos, won in table.wins.items():
+        assert (grundy(game, pos, values) != 0) == won, f"position {pos:b}"
+
+
+class TestTwins:
+    """Win/loss search skips moves that are twins of a move tried before.
+
+    A split root is answered from its parts' Grundy values, so with ``hub``
+    set a new element joins the parts: a maximum above everything, or a
+    vertex next to the lowest vertex of each component.  The win/loss search
+    then starts from a connected root and visits positions of every shape.
+    """
+
+    @given(
+        st.integers(1, 6), st.floats(0, 1), st.integers(0, 99),
+        st.lists(st.integers(0, 99), max_size=3), st.booleans(), st.integers(0, 3), st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_poset_against_oracle(self, m, density, seed, picks, hub, steps, data):
+        p = with_poset_twins(random_poset(m, density, seed), picks)
+        if hub:
+            p = Poset.from_pairs(p.m + 1, [(x, p.m) for x in range(p.m)] + list(p.cover_pairs()))
+        game = PosetGame(p)
+        pos = play(game, data, steps)
+        table = TranspositionTable()
+        want = naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
+        assert solve_winner(game, pos, table) is outcome(want)
+        assert_wins_stored_right(game, table)
+
+    @given(
+        small_graph(6), st.lists(st.integers(0, 99), max_size=3), st.booleans(),
+        st.booleans(), st.integers(0, 3), st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kayles_against_oracle(self, g, picks, adjacent, hub, steps, data):
+        if not g.n:
+            return
+        g = with_graph_twins(g, picks, adjacent)
+        if hub:
+            parts = KaylesGame(g).components((1 << g.n) - 1)
+            g = Graph.of(g.n + 1, list(g.edges) + [((part & -part).bit_length() - 1, g.n) for part in parts])
+        game = KaylesGame(g)
+        pos = play(game, data, steps)
+        table = TranspositionTable()
+        want = naive_kayles_grundy(g, frozenset(mask_to_sorted(pos)))
+        assert solve_winner(game, pos, table) is outcome(want)
+        assert_wins_stored_right(game, table)
+
+    def test_out_rows_alone_do_not_make_twins(self):
+        # 0 < 2 < 3 and 1 < 3.  In 0b0111 elements 1 and 2 both kill nothing
+        # else, but only 2 is killed by 0: taking 2 leaves 0 and 1, a lost
+        # position, so 0b0111 is won.  Solving the whole poset first stores
+        # 0b0111 only if a search wrongly skipped the move to 2 at the root.
+        game = PosetGame(Poset.from_pairs(4, [(0, 2), (2, 3), (1, 3)]))
+        table = TranspositionTable()
+        assert solve_winner(game, table=table) is GameValue.WIN
+        assert solve_winner(game, 0b0111, table=table) is GameValue.WIN
+        assert_wins_stored_right(game, table)
+
+    def test_rows_of_an_element_game(self):
+        game = PosetGame(Poset.from_pairs(4, [(0, 2), (2, 3), (1, 3)]))
+        size = game.size
+        for (legal, kill), (rows, loose) in zip(game.order, game.twins):
+            x = legal.bit_length() - 1
+            below = sum(1 << a for a in range(size) if a != x and game.kill[a] >> x & 1)
+            assert rows == (kill ^ legal) | below << size
+            assert loose == sum(1 << y for y in range(size) if not (kill | below | legal) >> y & 1)
+
+    def test_set_game_has_no_twins(self):
+        game = SetGameRules(SetGame(3, (frozenset({0, 1}), frozenset({2}), frozenset({2}))))
+        assert game.twins == ((0, 0),) * 3
