@@ -6,6 +6,10 @@ exhaustive solver and reporting any disagreement as a failure with the full
 instance attached.  ``run_suite`` maps one function over the units, in this
 process or in ``jobs`` workers, with the same report either way.  Runs are
 deterministic for a fixed config, including the sampling seed.
+
+Every check runs through ``_verdict``, its solves under one budgeted
+``SearchStats``.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table,
+and the ``_SUITES`` table holds all the driver knows about a suite.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple
 
 from .games import KaylesGame, PosetGame, SetGameRules
 from .graphs import ENUMERATION_CAP, Graph, enumerate_labeled_graphs, format_graph
@@ -39,20 +44,6 @@ LEMMA_EXHAUSTIVE_MAX_N = 3
 LEMMA_MAX_N = 4
 LEMMA_SAMPLES_PER_GRAPH = 32
 
-# suite -> (default max_n, largest max_n accepted).  setgame Grundy-solves
-# the phi images of its sources on both sides: max_n=4 takes about 21 s
-# against 0.7 s at 3 (2-CPU VM, Python 3.11).
-_SUITE_MAX_N = {
-    "theorem": (4, ENUMERATION_CAP),
-    "lemma1": (5, ENUMERATION_CAP),
-    "lemma2": (LEMMA_MAX_N, LEMMA_MAX_N),
-    "lemma3": (LEMMA_MAX_N, LEMMA_MAX_N),
-    "lemma4": (LEMMA_MAX_N, LEMMA_MAX_N),
-    "setgame": (3, 3),
-    "psi": (6, ENUMERATION_CAP),
-}
-SUITES = tuple(_SUITE_MAX_N)
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -65,7 +56,7 @@ class SuiteConfig:
     max_poset_elements: int = 12
 
     def resolved_max_n(self) -> int:
-        return self.max_n if self.max_n is not None else _SUITE_MAX_N[self.suite][0]
+        return self.max_n if self.max_n is not None else _SUITES[self.suite].default_max_n
 
     def check(self):
         if self.suite not in SUITES:
@@ -74,10 +65,13 @@ class SuiteConfig:
             raise ValueError("budget must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        n = self.resolved_max_n()
-        cap = _SUITE_MAX_N[self.suite][1]
-        if n > cap:
-            raise ValueError(f"max_n={n} exceeds {self.suite} cap {cap}")
+        if self.random_posets < 0:
+            raise ValueError("random_posets must not be negative")
+        if self.max_poset_elements < 1:
+            raise ValueError("max_poset_elements must be at least 1")
+        n, cap = self.resolved_max_n(), _SUITES[self.suite].cap
+        if not 1 <= n <= cap:
+            raise ValueError(f"max_n={n} is not between 1 and the {self.suite} cap {cap}")
 
 
 @dataclass
@@ -157,67 +151,77 @@ class SuiteReport:
 # individual checks
 
 
+def _verdict(stats: SearchStats, run, instance: Graph | Poset) -> CheckResult:
+    """Run a check on ``instance``, whose solves count their states in
+    ``stats``.  ``run`` says what is wrong, or returns None when the check
+    holds; a solve that runs out of budget makes the check inconclusive."""
+    try:
+        wrong = run()
+    except BudgetExceeded:
+        return CheckResult("inconclusive", stats.states, "budget exhausted")
+    if wrong is None:
+        return CheckResult("pass", stats.states)
+    text = format_poset(instance) if isinstance(instance, Poset) else format_graph(instance)
+    return CheckResult("fail", stats.states, f"{wrong} on\n{text}")
+
+
 def check_psi_properties(g: Graph, psi_fn=psi) -> CheckResult:
     """Structural guarantees the poset construction relies on: the padded
     graph has an odd number of edges, and every vertex has a non-incident
     edge."""
-    h = psi_fn(g)
-    if len(h.edges) % 2 != 1:
-        return CheckResult("fail", 0, f"even edge count {len(h.edges)} on\n{format_graph(g)}")
-    for v in range(h.n):
-        if not any(v not in e for e in h.edges):
-            return CheckResult("fail", 0, f"vertex {v} incident to every edge on\n{format_graph(g)}")
-    return CheckResult("pass")
+
+    def run():
+        h = psi_fn(g)
+        if len(h.edges) % 2 != 1:
+            return f"even edge count {len(h.edges)}"
+        common = set(range(h.n))  # the vertices on every edge seen so far
+        for e in h.edges:
+            common.intersection_update(e)
+            if not common:
+                return None
+        return f"vertex {min(common)} incident to every edge"
+
+    return _verdict(SearchStats(), run, g)
 
 
 def check_lemma1(g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi) -> CheckResult:
     """Padding must not change the Kayles Grundy number."""
     stats = SearchStats(budget=budget)
-    try:
+
+    def run():
         before = grundy(KaylesGame(g), stats=stats)
         after = grundy(KaylesGame(psi_fn(g)), stats=stats)
-    except BudgetExceeded:
-        return CheckResult("inconclusive", stats.states, "budget exhausted")
-    if before != after:
-        return CheckResult(
-            "fail",
-            stats.states,
-            f"grundy {before} vs {after} after padding on\n{format_graph(g)}",
-        )
-    return CheckResult("pass", stats.states)
+        if before != after:
+            return f"grundy {before} vs {after} after padding"
+
+    return _verdict(stats, run, g)
 
 
 def check_theorem(g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi) -> CheckResult:
     """The Kayles winner on g must match the poset-game winner on its image."""
     stats = SearchStats(budget=budget)
-    try:
+
+    def run():
         kayles = solve_winner(KaylesGame(g), stats=stats)
         image = phi_fn(psi_fn(g))
         posets = solve_winner(PosetGame(image.poset), stats=stats)
-    except BudgetExceeded:
-        return CheckResult("inconclusive", stats.states, "budget exhausted")
-    if kayles != posets:
-        return CheckResult(
-            "fail",
-            stats.states,
-            f"kayles={kayles.value} poset={posets.value} on\n{format_graph(g)}",
-        )
-    return CheckResult("pass", stats.states)
+        if kayles != posets:
+            return f"kayles={kayles.value} poset={posets.value}"
+
+    return _verdict(stats, run, g)
 
 
 def check_setgame_equiv(p: Poset, budget: int = DEFAULT_BUDGET) -> CheckResult:
     """A poset and its upper-cone set game must have equal Grundy numbers."""
     stats = SearchStats(budget=budget)
-    try:
+
+    def run():
         gp = grundy(PosetGame(p), stats=stats)
         gs = grundy(SetGameRules(poset_to_setgame(p)), stats=stats)
-    except BudgetExceeded:
-        return CheckResult("inconclusive", stats.states, "budget exhausted")
-    if gp != gs:
-        return CheckResult(
-            "fail", stats.states, f"poset grundy {gp} vs set game {gs} on\n{format_poset(p)}"
-        )
-    return CheckResult("pass", stats.states)
+        if gp != gs:
+            return f"poset grundy {gp} vs set game {gs}"
+
+    return _verdict(stats, run, p)
 
 
 class BOnlyContext:
@@ -250,92 +254,67 @@ class BOnlyContext:
         return [b for b in self.image.b_elements() if pos >> b & 1]
 
 
-def _endpoint_split(ctx: BOnlyContext, chosen, e):
+# lemma -> (endpoints of e in the chosen set, the moves probed in turn, the
+# value each probe's child must have, fail detail).  Lemma 3 also checks that
+# its probe leaves exactly one vertex-level element.
+_LEMMAS = {
+    "lemma2": (2, ("gamma(e)",), GameValue.LOSS, "gamma({e}) not winning after chosen={chosen}"),
+    "lemma3": (1, ("gamma(e)",), GameValue.WIN, "gamma({e}) not losing after chosen={chosen}"),
+    "lemma4": (0, ("e", "gamma(e)"), GameValue.WIN, "{probe} for {e} not losing, chosen={chosen}"),
+}
+_ENDPOINTS = ("neither endpoint", "exactly one endpoint", "both endpoints")
+
+
+def _check_lemma(lemma: str, g: Graph, chosen, e, ctx: BOnlyContext | None,
+                 budget: int) -> CheckResult:
+    """Play each probed move of ``lemma`` after the vertex picks ``chosen``
+    and check the value of its child."""
+    endpoints, probes, reply, detail = _LEMMAS[lemma]
+    ctx = ctx or BOnlyContext(g, budget)
     u, v = min(e), max(e)
     if (u, v) not in ctx.padded.edges:
         raise ValueError(f"({u}, {v}) is not an edge of the padded graph")
     bad = [w for w in chosen if not 0 <= w < ctx.padded.n]
     if bad:
         raise ValueError(f"chosen vertices {bad} out of range")
-    return (u in chosen) + (v in chosen)
+    if (u in chosen) + (v in chosen) != endpoints:
+        raise ValueError(f"{lemma} needs {_ENDPOINTS[endpoints]} of e in the chosen set")
+    pos = ctx.position_after(chosen)
+    moves = {"e": ctx.image.c_of_edge(e), "gamma(e)": ctx.image.a_of_edge(e)}
+    if not all(pos >> moves[probe] & 1 for probe in probes):
+        raise ValueError(f"edge {e} already removed from the position")
+
+    def run():
+        for probe in probes:
+            child = ctx.game.apply(pos, moves[probe])
+            if lemma == "lemma3" and len(left := ctx.remaining_b(child)) != 1:
+                return (f"{len(left)} vertex-level elements left after gamma({e}), "
+                        f"chosen={sorted(chosen)}")
+            if ctx.winner_from(child) is not reply:
+                return detail.format(probe=probe, e=e, chosen=sorted(chosen))
+
+    return _verdict(ctx.stats, run, g)
 
 
 def check_lemma2(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
                  budget: int = DEFAULT_BUDGET) -> CheckResult:
     """With both endpoints of e already picked, the low copy of e must be a
     winning move."""
-    ctx = ctx or BOnlyContext(g, budget)
-    if _endpoint_split(ctx, chosen, e) != 2:
-        raise ValueError("lemma2 needs both endpoints of e in the chosen set")
-    pos = ctx.position_after(chosen)
-    a = ctx.image.a_of_edge(e)
-    try:
-        reply = ctx.winner_from(ctx.game.apply(pos, a))
-    except BudgetExceeded:
-        return CheckResult("inconclusive", ctx.stats.states, "budget exhausted")
-    if reply is not GameValue.LOSS:
-        return CheckResult(
-            "fail",
-            ctx.stats.states,
-            f"gamma({e}) not winning after chosen={sorted(chosen)} on\n{format_graph(g)}",
-        )
-    return CheckResult("pass", ctx.stats.states)
+    return _check_lemma("lemma2", g, chosen, e, ctx, budget)
 
 
 def check_lemma3(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
                  budget: int = DEFAULT_BUDGET) -> CheckResult:
     """With exactly one endpoint picked, the low copy of e must be a losing
     move, and playing it must strand exactly one vertex-level element."""
-    ctx = ctx or BOnlyContext(g, budget)
-    if _endpoint_split(ctx, chosen, e) != 1:
-        raise ValueError("lemma3 needs exactly one endpoint of e in the chosen set")
-    pos = ctx.position_after(chosen)
-    a = ctx.image.a_of_edge(e)
-    child = ctx.game.apply(pos, a)
-    left_in_b = ctx.remaining_b(child)
-    if len(left_in_b) != 1:
-        return CheckResult(
-            "fail",
-            ctx.stats.states,
-            f"{len(left_in_b)} vertex-level elements left after gamma({e}), "
-            f"chosen={sorted(chosen)} on\n{format_graph(g)}",
-        )
-    try:
-        reply = ctx.winner_from(child)
-    except BudgetExceeded:
-        return CheckResult("inconclusive", ctx.stats.states, "budget exhausted")
-    if reply is not GameValue.WIN:
-        return CheckResult(
-            "fail",
-            ctx.stats.states,
-            f"gamma({e}) not losing after chosen={sorted(chosen)} on\n{format_graph(g)}",
-        )
-    return CheckResult("pass", ctx.stats.states)
+    return _check_lemma("lemma3", g, chosen, e, ctx, budget)
 
 
 def check_lemma4(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
                  budget: int = DEFAULT_BUDGET) -> CheckResult:
     """With neither endpoint picked, both e and its low copy must be losing
     moves."""
-    ctx = ctx or BOnlyContext(g, budget)
-    if _endpoint_split(ctx, chosen, e) != 0:
-        raise ValueError("lemma4 needs neither endpoint of e in the chosen set")
-    pos = ctx.position_after(chosen)
-    c = ctx.image.c_of_edge(e)
-    if not pos >> c & 1:
-        raise ValueError(f"edge {e} already removed from the position")
-    for label, move in (("e", c), ("gamma(e)", ctx.image.a_of_edge(e))):
-        try:
-            reply = ctx.winner_from(ctx.game.apply(pos, move))
-        except BudgetExceeded:
-            return CheckResult("inconclusive", ctx.stats.states, "budget exhausted")
-        if reply is not GameValue.WIN:
-            return CheckResult(
-                "fail",
-                ctx.stats.states,
-                f"{label} for {e} not losing, chosen={sorted(chosen)} on\n{format_graph(g)}",
-            )
-    return CheckResult("pass", ctx.stats.states)
+    return _check_lemma("lemma4", g, chosen, e, ctx, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +347,40 @@ def _lemma_cases(ctx: BOnlyContext, which: int, graph_index: int, seed: int):
         yield frozenset(chosen), e
 
 
-# lemma suite -> (endpoints of e in the chosen set, check)
-_LEMMA_CHECKS = {"lemma2": (2, check_lemma2), "lemma3": (1, check_lemma3), "lemma4": (0, check_lemma4)}
+class _Suite(NamedTuple):
+    default_max_n: int
+    cap: int  # the largest max_n accepted
+    check: Callable  # (unit, config, psi_fn, phi_fn) -> CheckResult; a lemma's check_lemma*
+    posets: bool = False  # units are the graphs' phi images, then random posets
+
+
+# setgame Grundy-solves the phi images of its sources on both sides: max_n=4
+# takes about 21 s against 0.7 s at 3 (2-CPU VM, Python 3.11).
+_SUITES = {
+    "theorem": _Suite(4, ENUMERATION_CAP, lambda g, cfg, *fns: check_theorem(g, cfg.budget, *fns)),
+    "lemma1": _Suite(
+        5, ENUMERATION_CAP, lambda g, cfg, psi_fn, _: check_lemma1(g, cfg.budget, psi_fn)
+    ),
+    "lemma2": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, check_lemma2),
+    "lemma3": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, check_lemma3),
+    "lemma4": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, check_lemma4),
+    "setgame": _Suite(3, 3, lambda p, cfg, *_: check_setgame_equiv(p, cfg.budget), posets=True),
+    "psi": _Suite(6, ENUMERATION_CAP, lambda g, cfg, psi_fn, _: check_psi_properties(g, psi_fn)),
+}
+SUITES = tuple(_SUITES)
 
 
 def _units(cfg: SuiteConfig, psi_fn, phi_fn):
     """(name, index, instance) for each unit of a suite, in report order:
-    the source graphs, or for ``setgame`` their phi images, then random posets."""
+    the source graphs, or their phi images followed by random posets."""
+    posets = _SUITES[cfg.suite].posets
     for n in range(1, cfg.resolved_max_n() + 1):
         for gi, g in enumerate(enumerate_labeled_graphs(n)):
-            if cfg.suite == "setgame":
+            if posets:
                 yield f"phi-image/n={n}/g={gi}", gi, phi_fn(psi_fn(g)).poset
             else:
                 yield f"n={n}/g={gi}", gi, g
-    if cfg.suite == "setgame":
+    if posets:
         for i in range(cfg.random_posets):
             rng = random.Random(cfg.seed * 1_000_003 + i)
             m = rng.randint(1, cfg.max_poset_elements)
@@ -397,27 +396,21 @@ def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
     check added.
     """
     name, index, instance = unit
-    if cfg.suite == "theorem":
-        checks = [(name, partial(check_theorem, instance, cfg.budget, psi_fn, phi_fn))]
-    elif cfg.suite == "lemma1":
-        checks = [(name, partial(check_lemma1, instance, cfg.budget, psi_fn))]
-    elif cfg.suite == "psi":
-        checks = [(name, partial(check_psi_properties, instance, psi_fn))]
-    elif cfg.suite == "setgame":
-        checks = [(name, partial(check_setgame_equiv, instance, cfg.budget))]
-    else:
-        which, lemma = _LEMMA_CHECKS[cfg.suite]
+    check = _SUITES[cfg.suite].check
+    if cfg.suite in _LEMMAS:
         ctx = BOnlyContext(instance, cfg.budget, psi_fn, phi_fn)
-        cases = enumerate(_lemma_cases(ctx, which, index, cfg.seed))
+        cases = enumerate(_lemma_cases(ctx, _LEMMAS[cfg.suite][0], index, cfg.seed))
         checks = (
-            (f"{name}/case={ci}", partial(lemma, instance, chosen, e, ctx=ctx))
+            (f"{name}/case={ci}", partial(check, instance, chosen, e, ctx=ctx))
             for ci, (chosen, e) in cases
         )
+    else:
+        checks = [(name, partial(check, instance, cfg, psi_fn, phi_fn))]
     results = []
     before = 0
-    for case, check in checks:
+    for case, run in checks:
         t0 = time.perf_counter()
-        res = check()
+        res = run()
         millis = (time.perf_counter() - t0) * 1000
         results.append(InstanceResult(case, res.verdict, res.states - before, millis, res.detail))
         before = res.states

@@ -148,6 +148,11 @@ class TestVerify:
         assert main(["verify", "--suite", "lemma2", "--max-n", "9"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_n", ["0", "-2"])
+    def test_empty_regime_rejected(self, capsys, max_n):
+        assert main(["verify", "--suite", "theorem", "--max-n", max_n]) == 2
+        assert "max_n" in capsys.readouterr().err
+
 
 class TestExportDot:
     def test_chain(self, tmp_path, capsys):

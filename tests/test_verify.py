@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from posetgames import (
     chain,
     complete_graph,
     disjoint_union,
+    format_graph,
     grundy,
     KaylesGame,
     random_poset,
@@ -24,6 +26,7 @@ from posetgames.verify import (
     check_lemma2,
     check_lemma3,
     check_lemma4,
+    check_psi_properties,
     check_setgame_equiv,
     check_theorem,
     run_suite,
@@ -86,6 +89,15 @@ class TestLemma3Check:
         with pytest.raises(ValueError):
             check_lemma3(K2, {0, 1}, (0, 1))
 
+    def test_winning_gamma_fails(self):
+        # a table that calls the child lost makes gamma(e) a winning move
+        ctx = BOnlyContext(K2)
+        pos = ctx.position_after({0})
+        ctx.table.wins[ctx.game.apply(pos, ctx.image.a_of_edge((0, 1)))] = False
+        res = check_lemma3(K2, {0}, (0, 1), ctx=ctx)
+        assert res.verdict == "fail"
+        assert res.detail == f"gamma((0, 1)) not losing after chosen=[0] on\n{format_graph(K2)}"
+
 
 class TestLemma4Check:
     def test_k2_every_edge(self):
@@ -102,6 +114,16 @@ class TestLemma4Check:
         with pytest.raises(ValueError):
             check_lemma4(K2, {0}, (0, 1))
 
+    def test_winning_gamma_fails(self):
+        # e itself is still losing; a table that calls gamma(e)'s child lost
+        # makes the second probe fail
+        ctx = BOnlyContext(K2)
+        pos = ctx.position_after(set())
+        ctx.table.wins[ctx.game.apply(pos, ctx.image.a_of_edge((0, 1)))] = False
+        res = check_lemma4(K2, set(), (0, 1), ctx=ctx)
+        assert res.verdict == "fail"
+        assert res.detail == f"gamma(e) for (0, 1) not losing, chosen=[] on\n{format_graph(K2)}"
+
 
 class TestTheoremCheck:
     def test_k2(self):
@@ -115,6 +137,19 @@ class TestTheoremCheck:
 
     def test_budget_inconclusive(self):
         assert check_theorem(complete_graph(4), budget=2).verdict == "inconclusive"
+
+
+class TestPsiCheck:
+    @pytest.mark.parametrize("padded, detail", [
+        (P3, "even edge count 2"),
+        (Graph.of(4, [(0, 1), (0, 2), (0, 3)]), "vertex 0 incident to every edge"),
+        (Graph.of(4, [(1, 2)]), "vertex 1 incident to every edge"),
+        (Graph.of(5, [(1, 3), (2, 3), (3, 4)]), "vertex 3 incident to every edge"),
+    ], ids=["even", "star", "one-edge", "hub"])
+    def test_bad_padding(self, padded, detail):
+        res = check_psi_properties(P3, psi_fn=lambda g: padded)
+        assert res.verdict == "fail"
+        assert res.detail == f"{detail} on\n{format_graph(P3)}"
 
 
 class TestSetGameCheck:
@@ -155,6 +190,26 @@ class TestRunSuite:
     def test_over_cap_rejected(self, suite, max_n):
         with pytest.raises(ValueError, match="cap"):
             run_suite(SuiteConfig(suite=suite, max_n=max_n))
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_n", 0), ("max_n", -2), ("random_posets", -1), ("max_poset_elements", 0),
+    ])
+    def test_vacuous_regime_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            run_suite(SuiteConfig(suite="setgame", **{field: value}))
+
+    def test_no_random_posets(self):
+        report = run_suite(SuiteConfig(suite="setgame", max_n=2, random_posets=0))
+        assert [r.instance for r in report.results] == [
+            "phi-image/n=1/g=0", "phi-image/n=2/g=0", "phi-image/n=2/g=1"]
+        assert report.passed
+
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "lemma3", "lemma4"])
+    def test_budget_one_inconclusive(self, suite):
+        report = run_suite(SuiteConfig(suite=suite, max_n=2, budget=1))
+        assert report.results
+        assert all(r.verdict == "inconclusive" for r in report.results)
+        assert {r.detail for r in report.results} == {"budget exhausted"}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -213,6 +268,17 @@ class TestMutationSensitivity:
     def test_corrupted_phi_reaches_workers(self):
         report = run_suite(SuiteConfig(suite="theorem", max_n=3, jobs=2), phi_fn=drop_one_low_relation)
         assert len(report.failures) >= 1
+
+    @pytest.mark.parametrize("suite, mutation, detail", [
+        ("lemma1", {"psi_fn": single_k3_padding}, r"grundy \d+ vs \d+ after padding on\n"),
+        ("lemma2", {"phi_fn": drop_one_low_relation}, r"gamma\(\(\d+, \d+\)\) not winning after chosen=\["),
+        ("lemma3", {"phi_fn": drop_one_low_relation}, r"2 vertex-level elements left after gamma\(\("),
+        ("lemma4", {"phi_fn": drop_one_low_relation}, r"(e|gamma\(e\)) for \(\d+, \d+\) not losing, chosen=\["),
+    ], ids=["lemma1-psi", "lemma2-phi", "lemma3-phi", "lemma4-phi"])
+    def test_corrupted_reduction_detected_by_lemma_suite(self, suite, mutation, detail):
+        report = run_suite(SuiteConfig(suite=suite, max_n=3), **mutation)
+        assert report.failures
+        assert all(re.match(detail, r.detail) for r in report.failures)
 
     def test_corrupted_psi_detected(self):
         parity = run_suite(SuiteConfig(suite="psi", max_n=3), psi_fn=single_k3_padding)
