@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -27,13 +28,14 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not 0 <= u < v < n:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
 
     @classmethod
     def of(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -44,19 +46,33 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """``adjacency[v]``: the mask of v's neighbours, built on first use."""
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
+
     def neighbors(self, v: int) -> set[int]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        out = set()
-        for u, w in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
-        return out
+        return set(mask_to_sorted(self._row(v)))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self._row(v).bit_count()
+
+    def _row(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return self.adjacency[v]
+
+
+def mask_to_sorted(mask: int) -> list[int]:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def complete_graph(k: int) -> Graph:
@@ -82,38 +98,51 @@ def enumerate_labeled_graphs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Gra
     """All 2^(n(n-1)/2) labeled simple graphs on n vertices.
 
     Deterministic order: the possible edges are sorted lexicographically and
-    graphs are yielded by ascending edge-subset bitmask.
+    graphs are yielded by ascending edge-subset bitmask.  The edge set of
+    every subset of the low and of the high half of the edges is built once,
+    so each graph's edges are one union of a high and a low subset.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds enumeration cap {cap}")
-    pairs = sorted(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+    pairs = list(combinations(range(n), 2))  # already in lexicographic order
+    half = (len(pairs) + 1) // 2
+    low, high = _subsets(pairs[:half]), _subsets(pairs[half:])
+    for hi in high:  # mask = index of hi << half | index of lo, ascending
+        for lo in low:
+            yield Graph(n, lo | hi)
+
+
+def _subsets(items: list) -> list[frozenset]:
+    """``out[mask]``: the frozenset of the items whose bits are set in mask."""
+    out = [frozenset()]
+    for item in items:
+        out += [s | {item} for s in out]
+    return out
 
 
 def connected_components(g: Graph) -> list[set[int]]:
-    seen: set[int] = set()
+    """The vertex sets of g's components, ordered by their lowest vertex."""
+    adj = g.adjacency
+    rest = (1 << g.n) - 1
     comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(comp)
+    while rest:
+        todo = comp = rest & -rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo |= new
+        rest ^= comp
+        comps.append(set(mask_to_sorted(comp)))
     return comps
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format: first line n, then "u v" edge lines.
 
-    '#' lines are comments; duplicate or out-of-range edges are errors.
+    Lines whose first non-blank character is '#' are comments; duplicate or
+    out-of-range edges are errors.
     """
     n = None
     edges: set[tuple[int, int]] = set()

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import FormatError
+from .graphs import FormatError, mask_to_sorted
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,6 @@ def transpose(m: int, rows: Sequence[int]) -> list[int]:
     cols = [int("".join(col), 2) for col in zip(*text)]
     cols.reverse()
     return cols
-
-
-def mask_to_sorted(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def antichain(m: int) -> Poset:

@@ -10,6 +10,7 @@ collection of its upper cones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .games import SetGame
@@ -26,8 +27,14 @@ def psi(g: Graph) -> Graph:
     an odd number of edges, and every vertex has an edge not incident to it.
     """
     k = 2 if len(g.edges) % 2 == 1 else 4
+    return Graph(g.n + 2 + k, g.edges | _padding(g.n, k))
+
+
+@lru_cache(maxsize=64)
+def _padding(n: int, k: int) -> frozenset[Edge]:
+    """The edges of K2 + Kk on the vertices from n up."""
     pad = [(0, 1), *combinations(range(2, 2 + k), 2)]
-    return Graph(g.n + 2 + k, g.edges | frozenset((u + g.n, v + g.n) for u, v in pad))
+    return frozenset((u + n, v + n) for u, v in pad)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,9 @@ class BOnlyContext:
 
     Vertex-level elements are pairwise incomparable and are removed only by
     being picked directly, so a history that stays on that level is just a
-    subset of vertices; order does not matter.
+    subset of vertices; order does not matter.  What every probe reads is
+    built once: ``cones[v]``, the up-cone mask of vertex v's element;
+    ``a_of``, the low copy of each edge; ``b_mask``, the vertex level.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi):
@@ -240,18 +242,21 @@ class BOnlyContext:
         self.game = PosetGame(self.image.poset)
         self.table = TranspositionTable()
         self.stats = SearchStats(budget=budget)
+        up, b_elements = self.image.poset.up, self.image.b_elements()
+        self.cones = tuple(up[b] for b in b_elements)
+        self.a_of = {e: a for a, e in enumerate(self.image.edge_order)}
+        self.b_mask = sum(1 << b for b in b_elements)
 
     def position_after(self, chosen) -> int:
         pos = self.game.initial()
         for v in chosen:
-            pos &= ~self.image.poset.up[self.image.b_of_vertex(v)]
+            if not 0 <= v < len(self.cones):
+                raise ValueError(f"vertex {v} out of range")
+            pos &= ~self.cones[v]
         return pos
 
     def winner_from(self, pos: int) -> GameValue:
         return solve_winner(self.game, pos, self.table, stats=self.stats)
-
-    def remaining_b(self, pos: int) -> list[int]:
-        return [b for b in self.image.b_elements() if pos >> b & 1]
 
 
 # lemma -> (endpoints of e in the chosen set, the moves probed in turn, the
@@ -280,15 +285,16 @@ def _check_lemma(lemma: str, g: Graph, chosen, e, ctx: BOnlyContext | None,
     if (u in chosen) + (v in chosen) != endpoints:
         raise ValueError(f"{lemma} needs {_ENDPOINTS[endpoints]} of e in the chosen set")
     pos = ctx.position_after(chosen)
-    moves = {"e": ctx.image.c_of_edge(e), "gamma(e)": ctx.image.a_of_edge(e)}
+    a = ctx.a_of[u, v]
+    moves = {"e": ctx.image.c_elements()[a], "gamma(e)": a}
     if not all(pos >> moves[probe] & 1 for probe in probes):
         raise ValueError(f"edge {e} already removed from the position")
 
     def run():
         for probe in probes:
             child = ctx.game.apply(pos, moves[probe])
-            if lemma == "lemma3" and len(left := ctx.remaining_b(child)) != 1:
-                return (f"{len(left)} vertex-level elements left after gamma({e}), "
+            if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
+                return (f"{left} vertex-level elements left after gamma({e}), "
                         f"chosen={sorted(chosen)}")
             if ctx.winner_from(child) is not reply:
                 return detail.format(probe=probe, e=e, chosen=sorted(chosen))

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from posetgames import (
     FormatError,
     Graph,
+    SetGame,
     closed_neighborhood,
     complete_graph,
     connected_components,
@@ -11,6 +14,8 @@ from posetgames import (
     enumerate_labeled_graphs,
     format_graph,
     parse_graph,
+    parse_poset,
+    parse_setgame,
 )
 
 
@@ -94,11 +99,52 @@ class TestEnumeration:
         for g in enumerate_labeled_graphs(4):
             assert parse_graph(format_graph(g)) == g
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_ascending_bitmask_order(self, n):
+        # the instance names of the verify suites carry only this index
+        pairs = sorted(combinations(range(n), 2))
+        naive = [
+            frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            for mask in range(1 << len(pairs))
+        ]
+        assert [g.edges for g in enumerate_labeled_graphs(n)] == naive
+        assert {g.n for g in enumerate_labeled_graphs(n)} == {n}
+
     def test_independent_streams(self):
         a = enumerate_labeled_graphs(3)
         b = enumerate_labeled_graphs(3)
         next(a)
         assert list(b) != list(a)  # b still starts at the empty graph
+
+
+class TestAdjacency:
+    @given(small_graphs(6))
+    def test_masks_match_edges(self, g):
+        for v in range(g.n):
+            expected = {u for u in range(g.n) if g.has_edge(u, v)}
+            assert g.neighbors(v) == expected
+            assert g.degree(v) == len(expected)
+            assert g.adjacency[v] == sum(1 << u for u in expected)
+        # naive components: merge the two endpoints' sets for every edge
+        label = {v: {v} for v in range(g.n)}
+        for u, v in g.edges:
+            if label[u] is not label[v]:
+                merged = label[u] | label[v]
+                for w in merged:
+                    label[w] = merged
+        naive = sorted({min(c): c for c in label.values()}.items())
+        assert connected_components(g) == [c for _, c in naive]
+
+    def test_path_components(self):
+        g = Graph.of(6, [(0, 3), (3, 5), (1, 2)])
+        assert connected_components(g) == [{0, 3, 5}, {1, 2}, {4}]
+
+    @pytest.mark.parametrize("v", [-1, 2])
+    def test_out_of_range(self, v):
+        with pytest.raises(ValueError, match="out of range"):
+            complete_graph(2).neighbors(v)
+        with pytest.raises(ValueError, match="out of range"):
+            complete_graph(2).degree(v)
 
 
 class TestClosedNeighborhood:
@@ -119,6 +165,18 @@ class TestClosedNeighborhood:
 
 
 class TestFormat:
+    @pytest.mark.parametrize("parse, text, expected", [
+        (parse_graph, "2\n  # indented comment\n0 1\n", Graph.of(2, [(0, 1)])),
+        (lambda t: parse_poset(t).up, "2\n\t# indented comment\n0 1\n", (0b11, 0b10)),
+        (parse_setgame, "1 2\n  # indented comment\n0 1\n", SetGame(2, (frozenset({0, 1}),))),
+    ])
+    def test_comment_lines_only(self, parse, text, expected):
+        # a line is a comment when its first non-blank character is '#';
+        # a '#' after data on the same line is not a comment
+        assert parse(text) == expected
+        with pytest.raises(FormatError, match="line 3"):
+            parse(text.replace("\n0 1\n", "\n0 1  # edge\n"))
+
     def test_comments_and_blanks(self):
         g = parse_graph("# a triangle\n3\n\n0 1\n1 2\n# done\n0 2\n")
         assert g == complete_graph(3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -71,6 +72,23 @@ class TestLemma2Check:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ValueError):
             check_lemma2(K2, {0}, (0, 1))
+
+
+class TestVertexRange:
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_position_after(self, v):
+        ctx = BOnlyContext(K2)
+        assert ctx.padded.n == 6
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            ctx.position_after({v})
+
+    @pytest.mark.parametrize("check, endpoints", [
+        (check_lemma2, {0, 1}), (check_lemma3, {0}), (check_lemma4, set()),
+    ])
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_lemma_checks(self, check, endpoints, v):
+        with pytest.raises(ValueError, match=re.escape(f"chosen vertices [{v}] out of range")):
+            check(K2, endpoints | {v}, (0, 1), ctx=BOnlyContext(K2))
 
 
 class TestLemma3Check:
@@ -232,6 +250,28 @@ class TestRunSuite:
         seq, par = run_suite(cfg), run_suite(replace(cfg, jobs=2))
         assert seq.results
         assert strip_millis(seq) == strip_millis(par)
+
+
+# SHA-256 of each suite's records at its default regime without the timing
+# field (instance, verdict, states, detail): enumeration order, sampling and
+# search must all stay put.  A change that moves them updates these values
+# and says why.
+GOLDEN_RECORDS = {
+    "theorem": "1e3a17d2c24455155969016bef537bdbd6b97512e2339e0f40236b0697bab783",
+    "lemma1": "ebaa957b6dcd55c296c25590e1990eb44694ecb7da9ba1bc42ccaa9653168286",
+    "lemma2": "6498507c92e3e07da9b362076ba3f0110be0d0f95d33aa9518475592ef44696e",
+    "lemma3": "4f6deff86cf59af8fd1146006419edf03244b007f305f796a4c15f44e759f447",
+    "lemma4": "8ad9ac21eb3c1a482bab117e020c1f02b3cc940b91cf78e4ebb78fa2a3fba66c",
+    "setgame": "ed3780c3cf419587c8c0ba7a41fb1c58b22c28598c36a71e62fd22f2f0b47a2c",
+    "psi": "c73941ec7afd1d04a7034def44230e50a1bea89a45d0686bfb6c2f7f401879de",
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_golden_records(suite):
+    report = run_suite(SuiteConfig(suite))
+    records = "".join(json.dumps(r, sort_keys=True) + "\n" for r in strip_millis(report))
+    assert hashlib.sha256(records.encode()).hexdigest() == GOLDEN_RECORDS[suite]
 
 
 def drop_one_low_relation(g):
