@@ -53,6 +53,8 @@ class MaskGame:
         return pos & ~self.kill[i]
 
     def apply(self, pos: int, i: int) -> int:
+        if not 0 <= i < len(self.legal):
+            raise ValueError(f"{self.describe_move(i)} does not exist")
         if not self.legal[i] & pos:
             raise ValueError(f"{self.describe_move(i)} is not available")
         return self.child(pos, i)
@@ -119,9 +121,6 @@ class MaskGame:
         parts = []
         while pos:
             todo = pos & -pos
-            if todo >> self.size:  # elements outside the rules have no moves
-                parts.append(pos)
-                break
             rest = pos ^ todo
             while todo:
                 low = todo & -todo

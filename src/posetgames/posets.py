@@ -152,6 +152,8 @@ class Poset:
         return cls._closed(m, up, levels)
 
     def leq(self, x: int, y: int) -> bool:
+        if not (0 <= x < self.m and 0 <= y < self.m):
+            raise ValueError(f"pair ({x}, {y}) out of range for m={self.m}")
         return bool(self.up[x] >> y & 1)
 
     @property
@@ -171,6 +173,8 @@ class Poset:
         return pos & ~self.up[x]
 
     def is_down_set(self, pos: int) -> bool:
+        if pos < 0 or pos >> self.m:
+            raise ValueError(f"position {pos} is not a set of the poset's {self.m} elements")
         down = self.down
         rest = pos
         while rest:

@@ -17,14 +17,11 @@ their own masks.  Kayles paths, the padding ``psi`` adds and disjoint
 chains fall apart this way.
 
 Win/loss search splits only the position it is asked about (the root): a
-sum is won iff the XOR of its parts' Grundy values is nonzero.  The Grundy
-values of all parts but the largest are XORed into ``h``; if ``h`` is 0 the
-answer is the largest part's own win/loss, searched with the cutoff,
-otherwise it is whether that part's Grundy value differs from ``h``.  A
-root is not split when its first move in ``game.order`` clears it, since
-it is then connected and won.  Positions below the root are searched whole:
-on the verification suites, finding components at every position cost more
-than the cutoff left to save.
+split root's win/loss is its Grundy value != 0, so sums are added up by the
+Grundy search alone.  A root is not split when its first move in
+``game.order`` clears it, since it is then connected and won.  Positions
+below the root are searched whole: on the verification suites, finding
+components at every position cost more than the cutoff left to save.
 
 Win/loss search also skips twin moves.  In Kayles and the poset game two
 elements of a position are twins when each kills the same other elements
@@ -96,11 +93,19 @@ class SearchStats:
     budget: int | None = None
 
 
+def _position(game, pos):
+    """``pos``, or the initial position for None; ValueError unless a set of the game's elements."""
+    if pos is None:
+        return game.initial()
+    if pos < 0 or pos >> game.size:
+        raise ValueError(f"position {pos} is not a set of the game's {game.size} elements")
+    return pos
+
+
 def _solve(game, pos, table, budget, stats, want_grundy: bool):
     """Win/loss (a bool) or Grundy value (an int) of ``pos``, with defaults
     filled in: the initial position, a fresh table, a fresh budgeted stats."""
-    if pos is None:
-        pos = game.initial()
+    pos = _position(game, pos)
     if table is None:
         table = TranspositionTable()
     if stats is None:
@@ -121,20 +126,9 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                 break
         else:
             kill = pos  # no legal move: lost, and nothing to split
-        parts = game.components(pos) if pos & ~kill else ()
-        if len(parts) > 1:
-            # won iff the parts' values XOR to nonzero; with the others
-            # XORing to 0 that is the largest part's own win/loss, cut off
-            largest = max(parts, key=int.bit_count)
-            h = 0
-            for part in parts:
-                if part != largest:
-                    h ^= _solve(game, part, table, None, stats, True)
-            if h:
-                value = _solve(game, largest, table, None, stats, True) != h
-            else:
-                value = _solve(game, largest, table, None, stats, False)
-            memo[pos] = value
+        if pos & ~kill and len(game.components(pos)) > 1:
+            # a sum is won iff its parts' Grundy values XOR to nonzero
+            value = memo[pos] = _solve(game, pos, table, None, stats, True) != 0
             return value
     n = len(moves)
     twins = None  # game.twins, fetched when a win/loss frame first needs it
@@ -290,8 +284,7 @@ def best_move(
     budget: int | None = None,
 ) -> int | None:
     """Lowest-index move to a losing child, or None if the mover is lost."""
-    if pos is None:
-        pos = game.initial()
+    pos = _position(game, pos)
     moves = game.moves(pos)
     if not moves:
         raise ValueError("position is terminal")

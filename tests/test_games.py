@@ -57,6 +57,11 @@ class TestPosetGameRules:
         game = PosetGame(chain(3))
         assert game.apply(game.initial(), 0) == 0
 
+    @pytest.mark.parametrize("move", [-1, 3])
+    def test_move_out_of_range_rejected(self, move):
+        with pytest.raises(ValueError, match=f"element {move} does not exist"):
+            PosetGame(chain(3)).apply(0b111, move)
+
     def test_phi_k2_low_copy(self):
         image = phi(complete_graph(2))
         game = PosetGame(image.poset)

@@ -72,6 +72,18 @@ class TestUpperCone:
             chain(3).upper_cone(3)
 
 
+class TestRange:
+    @pytest.mark.parametrize("x, y", [(-1, 2), (2, -1), (3, 0), (0, 3)])
+    def test_leq_out_of_range(self, x, y):
+        with pytest.raises(ValueError, match="out of range"):
+            chain(3).leq(x, y)
+
+    @pytest.mark.parametrize("pos", [-1, 1 << 3])
+    def test_is_down_set_out_of_range(self, pos):
+        with pytest.raises(ValueError, match="not a set of the poset's 3 elements"):
+            chain(3).is_down_set(pos)
+
+
 class TestRemoveCone:
     def test_antichain(self):
         p = antichain(3)

@@ -66,8 +66,9 @@ class TestSolveWinner:
         assert solve_winner(KaylesGame(K2K2)) is GameValue.LOSS
 
     def test_budget_exhaustion(self):
+        # psi(K4) = K4 + K2 + K2 is a split root: three one-state components
         with pytest.raises(BudgetExceeded):
-            solve_winner(KaylesGame(psi(complete_graph(4))), budget=3)
+            solve_winner(KaylesGame(psi(complete_graph(4))), budget=2)
 
     def test_counters(self):
         table = TranspositionTable()
@@ -257,6 +258,17 @@ class TestStateCounts:
         assert len(report.results) == 1099 and not report.failures and not report.inconclusives
         assert sum(r.states for r in report.results) <= 400_000  # 1 071 380 without
 
+    def test_lemma3_default_regime(self):
+        report = run_suite(SuiteConfig("lemma3"))
+        assert report.passed
+        # its split roots are Grundy searches: 2 845 states when win/loss search added them up itself
+        assert sum(r.states for r in report.results) <= 2_000
+
+    def test_split_root_is_one_grundy_search(self):
+        stats = SearchStats()
+        assert solve_winner(KaylesGame(psi(complete_graph(4))), stats=stats) is GameValue.WIN
+        assert stats.states <= 3
+
     def test_twins_built_only_by_a_later_win_loss_move(self):
         chain_game = PosetGame(chain(1500))
         assert solve_winner(chain_game) is GameValue.WIN  # its first move clears it
@@ -330,6 +342,16 @@ class TestSplitRoot:
         with pytest.raises(BudgetExceeded) as exc:
             solve_winner(KaylesGame(disjoint_union(C8, C8)), budget=3, stats=stats)
         assert exc.value.states == stats.states == 4
+
+
+class TestPositionRange:
+    """A position outside the game's elements is rejected at every entry."""
+
+    @pytest.mark.parametrize("pos", [-1, 1 << 3, 0b1111])
+    @pytest.mark.parametrize("solve", [solve_winner, grundy, best_move])
+    def test_rejected(self, solve, pos):
+        with pytest.raises(ValueError, match="not a set of the game's 3 elements"):
+            solve(PosetGame(chain(3)), pos)
 
 
 class TestBestMove:
