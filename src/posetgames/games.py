@@ -52,7 +52,12 @@ class MaskGame:
     def child(self, pos: int, i: int) -> int:
         return pos & ~self.kill[i]
 
+    def _check_position(self, pos: int) -> None:
+        if pos < 0 or pos >> self.size:
+            raise ValueError(f"position {pos} is not a set of the game's {self.size} elements")
+
     def apply(self, pos: int, i: int) -> int:
+        self._check_position(pos)
         if not 0 <= i < len(self.legal):
             raise ValueError(f"{self.describe_move(i)} does not exist")
         if not self.legal[i] & pos:

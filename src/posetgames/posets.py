@@ -166,12 +166,6 @@ class Poset:
             raise ValueError(f"element {x} out of range")
         return set(mask_to_sorted(self.up[x]))
 
-    def remove_cone(self, pos: int, x: int) -> int:
-        """Remove x and everything above it from the position."""
-        if not pos >> x & 1:
-            raise ValueError(f"element {x} is not present in the position")
-        return pos & ~self.up[x]
-
     def is_down_set(self, pos: int) -> bool:
         if pos < 0 or pos >> self.m:
             raise ValueError(f"position {pos} is not a set of the poset's {self.m} elements")

@@ -47,6 +47,11 @@ class TestKayles:
         with pytest.raises(ValueError):
             game.apply(0b100, 0)
 
+    def test_position_out_of_range_rejected(self):
+        # bit 3 is not a vertex of the game, so the move must not leave it behind
+        with pytest.raises(ValueError, match="position 9 is not a set of the game's 3 elements"):
+            KaylesGame(Graph.of(3, [(0, 1)])).apply(0b1001, 0)
+
 
 class TestPosetGameRules:
     def test_antichain_moves(self):
@@ -61,6 +66,12 @@ class TestPosetGameRules:
     def test_move_out_of_range_rejected(self, move):
         with pytest.raises(ValueError, match=f"element {move} does not exist"):
             PosetGame(chain(3)).apply(0b111, move)
+
+    # the solver's entry check; without it, apply(-1, 0) would return -8
+    @pytest.mark.parametrize("pos, move", [(-1, 0), (1 << 3, 0), (0b1111, 3)])
+    def test_position_out_of_range_rejected(self, pos, move):
+        with pytest.raises(ValueError, match=f"position {pos} is not a set of the game's 3 elements"):
+            PosetGame(chain(3)).apply(pos, move)
 
     def test_phi_k2_low_copy(self):
         image = phi(complete_graph(2))

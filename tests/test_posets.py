@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from posetgames import (
     FormatError,
     Poset,
+    PosetGame,
     antichain,
     chain,
     complete_graph,
@@ -85,30 +86,32 @@ class TestRange:
 
 
 class TestRemoveCone:
+    """Taking x removes x and everything above it (``PosetGame.apply``)."""
+
     def test_antichain(self):
-        p = antichain(3)
-        assert p.remove_cone(0b111, 1) == 0b101
+        assert PosetGame(antichain(3)).apply(0b111, 1) == 0b101
 
     def test_chain_bottom_clears(self):
-        assert chain(3).remove_cone(0b111, 0) == 0
+        assert PosetGame(chain(3)).apply(0b111, 0) == 0
 
     def test_phi_k2_remove_edge(self):
         image = phi(complete_graph(2))
-        pos = image.poset.remove_cone(image.poset.full_position, image.c_of_edge((0, 1)))
+        pos = PosetGame(image.poset).apply(image.poset.full_position, image.c_of_edge((0, 1)))
         assert set(mask_to_sorted(pos)) == {0, 1, 2}  # low copy and both vertices
 
     def test_absent_element_rejected(self):
         with pytest.raises(ValueError):
-            antichain(2).remove_cone(0b01, 1)
+            PosetGame(antichain(2)).apply(0b01, 1)
 
     @given(st.integers(1, 7), st.floats(0, 1), st.integers(0, 50), st.data())
     def test_result_is_down_set(self, m, density, seed, data):
         p = random_poset(m, density, seed)
+        game = PosetGame(p)
         pos = p.full_position
         while pos:
             assert p.is_down_set(pos)
             x = data.draw(st.sampled_from(mask_to_sorted(pos)))
-            pos = p.remove_cone(pos, x)
+            pos = game.apply(pos, x)
         assert p.is_down_set(0)
 
 

@@ -331,6 +331,29 @@ class TestSplitRoot:
             left = mask_to_sorted(game.child(game.initial(), mv))
             assert naive_kayles_grundy(g, frozenset(left)) == 0
 
+    @pytest.mark.parametrize(
+        "build", [lambda: KaylesGame(psi(complete_graph(4))), lambda: reversed_chains(120, 100)],
+        ids=["psi-K4", "reversed-chains-120-100"],
+    )
+    def test_root_is_split_once(self, build):
+        # the Grundy search starts from the parts the root check found
+        game = build()
+        calls = []
+        split = game.components
+        game.components = lambda pos: calls.append(pos) or split(pos)
+        solve_winner(game)
+        assert calls.count(game.initial()) == 1
+
+    def test_split_root_answered_from_grundy_values(self):
+        game = KaylesGame(psi(complete_graph(4)))
+        table, stats = TranspositionTable(), SearchStats()
+        value = grundy(game, table=table, stats=stats)
+        states, hits = stats.states, table.hits
+        assert solve_winner(game, table=table, stats=stats) is outcome(value)
+        assert (stats.states, table.hits) == (states, hits + 1)
+        won = table.wins[game.initial()]
+        assert type(won) is bool and won == (value != 0)
+
     def test_root_cleared_by_one_move_is_not_split(self):
         # the bottom of a chain clears it, so no link masks are built
         game = PosetGame(chain(1500))
