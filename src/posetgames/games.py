@@ -22,7 +22,8 @@ elements that share a set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from operator import or_
 from typing import Sequence
 
 from .graphs import FormatError, Graph
@@ -86,6 +87,29 @@ class MaskGame:
         return tuple(a | b for a, b in zip(links, transpose(self.size, links)))
 
     @cached_property
+    def _element_game(self) -> bool:
+        """Whether move x is legal iff x is in the position, and kills x."""
+        singles = tuple(1 << x for x in range(self.size))
+        return self.legal == singles and all(map(int.__and__, self.kill, singles))
+
+    @cached_property
+    def antichain_win(self):
+        """``antichain_win(p)``: whether p is won if p is an antichain, else
+        None; built on first use.
+
+        In an element game p is an antichain when no move legal in p kills
+        another element of p.  It is then a sum of single elements, each *1,
+        so it is won iff it has an odd number of elements.  Other rules, and
+        set games even when their masks are an element game's, get a
+        function that always returns None: a set game is searched move by
+        move, so that the reduction checks search both of their sides.
+        """
+        if self.noun == "set" or not self._element_game:
+            return _no_antichain
+        out = tuple(kill ^ legal for legal, kill in zip(self.legal, self.kill))
+        return partial(_antichain_win, out, reduce(or_, out, 0))
+
+    @cached_property
     def twins(self) -> tuple[tuple[int, int], ...]:
         """``twins[k]``: ``(rows, loose)`` for the move ``order[k]``, built on
         first use.
@@ -104,10 +128,9 @@ class MaskGame:
         their children have the same value.  Other rules get all-zero
         entries: nothing is ever a twin there.
         """
-        n = self.size
-        moves = enumerate(zip(self.legal, self.kill))
-        if len(self.legal) != n or any(legal != 1 << x or not kill >> x & 1 for x, (legal, kill) in moves):
+        if not self._element_game:
             return ((0, 0),) * len(self.order)
+        n = self.size
         cols = transpose(n, self.kill)
         full = (1 << n) - 1
         twins = []
@@ -139,6 +162,25 @@ class MaskGame:
             parts.append(pos ^ rest)
             pos = rest
         return parts
+
+
+def _no_antichain(p: int) -> None:
+    return None
+
+
+def _antichain_win(out: tuple[int, ...], killed: int, p: int) -> bool | None:
+    """``MaskGame.antichain_win`` of an element game whose move x kills the
+    others in ``out[x]``, which add up to ``killed``.  A position that misses
+    ``killed`` (in the poset game, a set of minimal elements) is an
+    antichain without a look at the rows."""
+    if p & killed:
+        rest = p
+        while rest:
+            low = rest & -rest
+            if out[low.bit_length() - 1] & p:
+                return None
+            rest ^= low
+    return p.bit_count() & 1 == 1
 
 
 def KaylesGame(graph: Graph) -> MaskGame:

@@ -38,6 +38,14 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
 
     @classmethod
+    def _unchecked(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":
+        """A graph from edges already known to be in range and normalized."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        return self
+
+    @classmethod
     def of(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         """Build a graph, normalizing each edge to (min, max) order."""
         norm = frozenset((min(u, v), max(u, v)) for u, v in edges)

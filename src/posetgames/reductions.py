@@ -27,7 +27,8 @@ def psi(g: Graph) -> Graph:
     an odd number of edges, and every vertex has an edge not incident to it.
     """
     k = 2 if len(g.edges) % 2 == 1 else 4
-    return Graph(g.n + 2 + k, g.edges | _padding(g.n, k))
+    # g's edges were checked when g was built, and the padding lies above them
+    return Graph._unchecked(g.n + 2 + k, g.edges | _padding(g.n, k))
 
 
 @lru_cache(maxsize=64)
@@ -55,16 +56,10 @@ class PhiImage:
     def num_edges(self) -> int:
         return len(self.edge_order)
 
-    def a_of_edge(self, e: Edge) -> int:
-        return self.edge_order.index(_norm(e))
-
     def b_of_vertex(self, v: int) -> int:
         if not 0 <= v < self.source.n:
             raise ValueError(f"vertex {v} out of range")
         return self.num_edges + v
-
-    def c_of_edge(self, e: Edge) -> int:
-        return self.num_edges + self.source.n + self.edge_order.index(_norm(e))
 
     def gamma(self, c_index: int) -> int:
         """Map a C-element (an edge) to its A-level copy."""
@@ -81,10 +76,6 @@ class PhiImage:
 
     def c_elements(self) -> range:
         return range(self.num_edges + self.source.n, self.poset.m)
-
-
-def _norm(e: Edge) -> Edge:
-    return (min(e), max(e))
 
 
 def phi(g: Graph) -> PhiImage:

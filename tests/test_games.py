@@ -76,7 +76,7 @@ class TestPosetGameRules:
     def test_phi_k2_low_copy(self):
         image = phi(complete_graph(2))
         game = PosetGame(image.poset)
-        a = image.a_of_edge((0, 1))
+        a = image.edge_order.index((0, 1))
         after = game.apply(game.initial(), a)
         # K2 has no non-endpoint vertices, so only the copy itself goes
         assert set(mask_to_sorted(after)) == {1, 2, 3}

@@ -96,7 +96,7 @@ class TestRemoveCone:
 
     def test_phi_k2_remove_edge(self):
         image = phi(complete_graph(2))
-        pos = PosetGame(image.poset).apply(image.poset.full_position, image.c_of_edge((0, 1)))
+        pos = PosetGame(image.poset).apply(image.poset.full_position, image.c_elements()[image.edge_order.index((0, 1))])
         assert set(mask_to_sorted(pos)) == {0, 1, 2}  # low copy and both vertices
 
     def test_absent_element_rejected(self):
@@ -246,8 +246,9 @@ class TestDot:
         image = phi(complete_graph(2))
         dot = to_dot(image.poset)
         assert dot.count("->") == 2
-        assert f"{image.b_of_vertex(0)} -> {image.c_of_edge((0, 1))};" in dot
-        assert f"{image.b_of_vertex(1)} -> {image.c_of_edge((0, 1))};" in dot
+        c = image.c_elements()[image.edge_order.index((0, 1))]
+        assert f"{image.b_of_vertex(0)} -> {c};" in dot
+        assert f"{image.b_of_vertex(1)} -> {c};" in dot
         assert 'level="A"' in dot  # the isolated low copy keeps its tag
 
     def test_transitive_edges_absent(self):

@@ -72,7 +72,7 @@ class TestPhi:
             (x, y) for x in range(4) for y in range(4) if x != y and p.leq(x, y)
         }
         b0, b1 = image.b_of_vertex(0), image.b_of_vertex(1)
-        c = image.c_of_edge((0, 1))
+        c = image.c_elements()[image.edge_order.index((0, 1))]
         assert nontrivial == {(b0, c), (b1, c)}
 
     def test_k3_low_copies(self):
@@ -80,11 +80,11 @@ class TestPhi:
         p = image.poset
         assert p.m == 9
         for e in image.edge_order:
-            a = image.a_of_edge(e)
+            a = image.edge_order.index(e)
             opposite = ({0, 1, 2} - set(e)).pop()
             above = set(mask_to_sorted(p.up[a])) - {a}
             expected = {image.b_of_vertex(opposite)}
-            expected |= {image.c_of_edge(e2) for e2 in image.edge_order if e2 != e}
+            expected |= {c for e2, c in zip(image.edge_order, image.c_elements()) if e2 != e}
             assert above == expected
 
     def test_empty_graph_is_antichain(self):

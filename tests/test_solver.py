@@ -1,3 +1,8 @@
+import dis
+import inspect
+import random
+import re
+import sys
 from functools import reduce
 from operator import xor
 
@@ -29,8 +34,9 @@ from posetgames import (
     random_poset,
     solve_winner,
 )
+from posetgames import solver
 from posetgames.posets import mask_to_sorted
-from posetgames.verify import SuiteConfig, run_suite
+from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
 from oracle import naive_kayles_grundy, naive_poset_grundy, naive_setgame_grundy
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
@@ -118,6 +124,28 @@ class TestGrundy:
         m = 1500
         game = PosetGame(Poset.from_pairs(m, [(x + 1, x) for x in range(m - 1)]))
         assert grundy(game) == m
+
+
+class TestTableRules:
+    """A table is bound to the rules of its first solve.  Games with equal
+    rules still share it (``test_table_shared_with_winner_keeps_ints``)."""
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda: PosetGame(antichain(3)),  # other kill masks
+            lambda: PosetGame(chain(4)),  # another size
+            lambda: SetGameRules(poset_to_setgame(chain(3))),  # other legal masks
+        ],
+        ids=["antichain-3", "chain-4", "setgame-chain-3"],
+    )
+    @pytest.mark.parametrize("solve", [solve_winner, grundy, best_move])
+    def test_other_rules_rejected(self, solve, other):
+        table = TranspositionTable()
+        assert grundy(PosetGame(chain(3)), table=table) == 3
+        with pytest.raises(ValueError, match="other rules"):
+            solve(other(), table=table)
+        assert table.values[0b111] == 3
 
 
 def path(n):
@@ -276,6 +304,73 @@ class TestStateCounts:
         for game in (KaylesGame(psi(P3)), PosetGame(phi(psi(complete_graph(3))).poset), reversed_chains(4, 3)):
             grundy(game)
             assert "twins" not in game.__dict__
+
+
+class TestAntichains:
+    """Win/loss search answers an antichain by its parity, without searching
+    it: it is a sum of single elements, each worth *1."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
+    def test_poset_antichain(self, k):
+        game = PosetGame(antichain(k))
+        table, stats = TranspositionTable(), SearchStats()
+        assert solve_winner(game, table=table, stats=stats) is outcome(k % 2)
+        assert stats.states <= 1
+        assert table.wins[game.initial()] is (k % 2 == 1)
+        assert "links" not in game.__dict__  # the root was not split
+
+    @pytest.mark.parametrize(
+        "pos, want", [(0b0101_0101, GameValue.LOSS), (0b0001_0101, GameValue.WIN)], ids=["four", "three"])
+    def test_kayles_independent_set(self, pos, want):
+        game = KaylesGame(C8)
+        stats = SearchStats()
+        assert solve_winner(game, pos, stats=stats) is want
+        assert stats.states <= 1
+
+    def test_down_sets_against_oracle(self):
+        # the seeded posets of acceptance criterion 7, up to 8 elements
+        antichains = 0
+        for i in range(200):
+            rng = random.Random(DEFAULT_SEED * 1_000_003 + i)
+            m = rng.randint(1, 12)
+            density = rng.uniform(0.1, 0.9)
+            if m > 8:
+                continue
+            p = random_poset(m, density, DEFAULT_SEED * 7_919 + i)
+            game = PosetGame(p)
+            for pos in range(1 << m):
+                if p.is_down_set(pos):
+                    antichains += game.antichain_win(pos) is not None
+                    want = naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
+                    assert solve_winner(game, pos) is outcome(want), f"{pos:b} in {p.up}"
+        assert antichains > 1000
+
+    def test_set_game_keeps_its_search(self):
+        # its masks are those of the poset game on antichain(5)
+        stats = SearchStats()
+        assert solve_winner(SetGameRules(poset_to_setgame(antichain(5))), stats=stats) is GameValue.WIN
+        assert stats.states == 5
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="counts CPython 3.11 code units",
+)
+def test_move_loop_jumps_without_extended_arg():
+    # The loop test jumps over the whole body when the loop ends, and back
+    # from its end, and each ``continue`` jumps back to it.  A jump of more
+    # than 255 code units carries an EXTENDED_ARG, which every move of every
+    # search pays.
+    lines, first = inspect.getsourcelines(solver._solve)
+    loop = first + next(k for k, line in enumerate(lines) if re.fullmatch(r"while .* < n:", line.strip()))
+    code = list(dis.get_instructions(solver._solve))
+    line_at, line = {}, None
+    for ins in code:
+        line = ins.starts_line or line
+        line_at[ins.offset] = line
+    jumps = [ins for ins in code if ins.opcode in dis.hasjrel and loop in (line_at[ins.offset], line_at[ins.argval])]
+    assert any(ins.opname == "JUMP_BACKWARD" for ins in jumps)
+    assert max(ins.arg for ins in jumps) <= 255, [(ins.opname, ins.arg) for ins in jumps]
 
 
 def reversed_chains(*lengths):

@@ -60,7 +60,7 @@ class TestLemma2Check:
         assert res.verdict == "pass"
         # after the winning reply only the other low edge copies remain
         pos = ctx.position_after({0, 1})
-        after = ctx.game.apply(pos, ctx.image.a_of_edge((0, 1)))
+        after = ctx.game.apply(pos, ctx.a_of[0, 1])
         remaining = [x for x in ctx.image.a_elements() if after >> x & 1]
         assert after.bit_count() == len(remaining) == 2
 
@@ -111,7 +111,7 @@ class TestLemma3Check:
         # a table that calls the child lost makes gamma(e) a winning move
         ctx = BOnlyContext(K2)
         pos = ctx.position_after({0})
-        ctx.table.wins[ctx.game.apply(pos, ctx.image.a_of_edge((0, 1)))] = False
+        ctx.table.wins[ctx.game.apply(pos, ctx.a_of[0, 1])] = False
         res = check_lemma3(K2, {0}, (0, 1), ctx=ctx)
         assert res.verdict == "fail"
         assert res.detail == f"gamma((0, 1)) not losing after chosen=[0] on\n{format_graph(K2)}"
@@ -137,7 +137,7 @@ class TestLemma4Check:
         # makes the second probe fail
         ctx = BOnlyContext(K2)
         pos = ctx.position_after(set())
-        ctx.table.wins[ctx.game.apply(pos, ctx.image.a_of_edge((0, 1)))] = False
+        ctx.table.wins[ctx.game.apply(pos, ctx.a_of[0, 1])] = False
         res = check_lemma4(K2, set(), (0, 1), ctx=ctx)
         assert res.verdict == "fail"
         assert res.detail == f"gamma(e) for (0, 1) not losing, chosen=[] on\n{format_graph(K2)}"
@@ -226,8 +226,16 @@ class TestRunSuite:
     def test_budget_one_inconclusive(self, suite):
         report = run_suite(SuiteConfig(suite=suite, max_n=2, budget=1))
         assert report.results
-        assert all(r.verdict == "inconclusive" for r in report.results)
-        assert {r.detail for r in report.results} == {"budget exhausted"}
+        done = [r for r in report.results if r.verdict != "inconclusive"]
+        assert {r.detail for r in report.results if r not in done} == {"budget exhausted"}
+        if suite == "lemma2":
+            # a lemma 2 probe leaves an antichain, which the search answers in
+            # one state: each graph's first case passes on it, a later case
+            # only when the table holds its probe already
+            assert {(r.instance.endswith("/case=0"), r.verdict, r.states) for r in done} == {
+                (True, "pass", 1), (False, "pass", 0)}
+        else:
+            assert not done
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -257,11 +265,11 @@ class TestRunSuite:
 # search must all stay put.  A change that moves them updates these values
 # and says why.
 GOLDEN_RECORDS = {
-    "theorem": "b37443661dad7e49691628a112448457313b7b5ef47050bd5ed862dda73a49a9",
+    "theorem": "4cc229fd86792fb7097b3aa84fe74504d0bd0fa8154359e9046e9c4738f6ae6a",
     "lemma1": "ebaa957b6dcd55c296c25590e1990eb44694ecb7da9ba1bc42ccaa9653168286",
-    "lemma2": "6498507c92e3e07da9b362076ba3f0110be0d0f95d33aa9518475592ef44696e",
-    "lemma3": "5887ba55e9ddea3d68acb55af24494af5f58554eaf94ce3f7da3a13f8752a516",
-    "lemma4": "8ad9ac21eb3c1a482bab117e020c1f02b3cc940b91cf78e4ebb78fa2a3fba66c",
+    "lemma2": "be638dab8738e80348f68f9f36a3a90ceadb5619e10ff2d9827fefbff0df0b76",
+    "lemma3": "7e66a52b73dd7f6a5c0809a1db10064fec900eb0e21841e57d60b746680ade7f",
+    "lemma4": "8172a094a0702512404f21c9764422325e4fa4e4a68e135ee5b97aaa6ddc990d",
     "setgame": "ed3780c3cf419587c8c0ba7a41fb1c58b22c28598c36a71e62fd22f2f0b47a2c",
     "psi": "c73941ec7afd1d04a7034def44230e50a1bea89a45d0686bfb6c2f7f401879de",
 }
