@@ -69,13 +69,22 @@ class MaskGame:
         return f"{self.noun} {i}"
 
     @cached_property
+    def _cols(self) -> tuple[int, ...]:
+        """The transpose of ``kill``: bit x of ``_cols[y]`` is set iff move x
+        kills y.  Built on first use, unless the rules came with it."""
+        return tuple(transpose(self.size, self.kill))
+
+    @cached_property
     def links(self) -> tuple[int, ...]:
         """``links[e]``: the elements linked to e, built on first use.
 
         Only moves whose legal mask holds e count.  A move that merely kills
         e says nothing once e is gone; in Kayles it would link the two ends
-        of a path through a deleted middle vertex.
+        of a path through a deleted middle vertex.  In an element game e is
+        linked to what its move kills and to the moves that kill it.
         """
+        if self._element_game:
+            return tuple(map(or_, self.kill, self._cols))
         links = [0] * self.size
         for legal, kill in zip(self.legal, self.kill):
             reach = legal | kill
@@ -88,9 +97,13 @@ class MaskGame:
 
     @cached_property
     def _element_game(self) -> bool:
-        """Whether move x is legal iff x is in the position, and kills x."""
-        singles = tuple(1 << x for x in range(self.size))
-        return self.legal == singles and all(map(int.__and__, self.kill, singles))
+        """Whether move x is legal iff x is in the position, and kills x.
+
+        The single-element masks are a list: a tuple built from a generator
+        is resized as it grows, and once freed it stays on CPython's tuple
+        free list, about 0.2 MB over the ``lemma1`` suite."""
+        singles = [1 << x for x in range(self.size)]
+        return self.legal == tuple(singles) and all(map(int.__and__, self.kill, singles))
 
     @cached_property
     def antichain_win(self):
@@ -131,7 +144,7 @@ class MaskGame:
         if not self._element_game:
             return ((0, 0),) * len(self.order)
         n = self.size
-        cols = transpose(n, self.kill)
+        cols = self._cols
         full = (1 << n) - 1
         twins = []
         for legal, kill in self.order:
@@ -190,12 +203,20 @@ def KaylesGame(graph: Graph) -> MaskGame:
     for u, v in graph.edges:
         nbhd[u] |= 1 << v
         nbhd[v] |= 1 << u
-    return MaskGame(graph.n, single, nbhd, "vertex")
+    game = MaskGame(graph.n, single, nbhd, "vertex")
+    game._cols = game.kill  # closed neighbourhoods are symmetric
+    return game
 
 
 def PosetGame(poset: Poset) -> MaskGame:
-    """Poset game: a move removes a chosen element and everything above it."""
-    return MaskGame(poset.m, [1 << x for x in range(poset.m)], poset.up, "element")
+    """Poset game: a move removes a chosen element and everything above it.
+
+    The game reads the poset's lower cones as its kill transpose when the
+    poset holds them already, and never builds them."""
+    game = MaskGame(poset.m, [1 << x for x in range(poset.m)], poset.up, "element")
+    if poset._down is not None:
+        game._cols = poset._down
+    return game
 
 
 @dataclass(frozen=True)

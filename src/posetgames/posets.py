@@ -10,8 +10,11 @@ pass over direct-successor masks (Purdom, "A transitive closure algorithm",
 BIT 10, 1970): each cone is its own bit OR the finished cones of its direct
 successors, so the work follows the pairs rather than m * m, and a back edge
 on the search stack is reported as a cycle.  The lower cones ``down`` are
-the transpose of ``up``; they are built on first use, since the game, the
-reductions, the solver and the cover relation only read ``up``.
+the transpose of ``up``.  They may come from whoever built the poset, when
+it knows them anyway (``phi`` writes both in closed form), and are otherwise
+built on first use: the reductions, the solver and the cover relation read
+only ``up``, and the poset game takes ``down`` as its kill transpose only
+when the poset holds it already.
 """
 
 from __future__ import annotations
@@ -79,19 +82,20 @@ class Poset:
         bad = validate_relation(m, up)
         if bad is not None:
             raise ValueError(f"not a partial order: {bad}")
-        self._fill(m, up, levels)
+        self._fill(m, up, levels, None)
 
-    def _fill(self, m, up, levels):
+    def _fill(self, m, up, levels, down):
         self.m = m
         self.up = tuple(up)
-        self._down = None
+        self._down = None if down is None else tuple(down)
         self.levels = tuple(levels) if levels is not None else None
 
     @classmethod
-    def _closed(cls, m, up, levels) -> "Poset":
-        """A poset from rows already known to be a partial order."""
+    def _closed(cls, m, up, levels, down=None) -> "Poset":
+        """A poset from rows already known to be a partial order, and their
+        transpose ``down`` when the caller knows it."""
         self = object.__new__(cls)
-        self._fill(m, up, levels)
+        self._fill(m, up, levels, down)
         return self
 
     @property

@@ -81,24 +81,30 @@ class PhiImage:
 def phi(g: Graph) -> PhiImage:
     """Build the three-level poset for a graph.
 
-    Generating relations, for each edge e = (v1, v2) and vertex b:
-    b <= e iff b is an endpoint of e, and gamma(e) <= b iff b is not an
-    endpoint of e.  The stored order is the reflexive-transitive closure.
+    Generating relations, for each edge e and vertex b: b <= e iff b is an
+    endpoint of e, and gamma(e) <= b iff b is not an endpoint of e.  The
+    closure is written down directly, cones and their transpose alike:
+    besides those pairs it holds gamma(e) <= f exactly for the edges f != e,
+    since a path climbs at most A < B < C and passes gamma(e) < b < f for a
+    b in f but not in e, which two distinct edges always have.  So
+    ``up[gamma(e)] = gamma(e) + (B - e) + (C - e)``, ``up[b] = b + the edges
+    at b``, ``up[e] = e``, and ``down`` mirrors them.
     """
     edges = tuple(sorted(g.edges))
     ne, nv = len(edges), g.n
     m = nv + 2 * ne
-    pairs: list[tuple[int, int]] = []
+    a_all, b_all = (1 << ne) - 1, ((1 << nv) - 1) << ne
+    at = [0] * nv  # at[v]: the edges at v, over edge indices
     for i, (v1, v2) in enumerate(edges):
-        a, c = i, ne + nv + i
-        for v in range(nv):
-            b = ne + v
-            if v == v1 or v == v2:
-                pairs.append((b, c))
-            else:
-                pairs.append((a, b))
+        at[v1] |= 1 << i
+        at[v2] |= 1 << i
+    ends = [1 << (ne + v1) | 1 << (ne + v2) for v1, v2 in edges]  # each edge's endpoints in B
+    up = [1 << i | (b_all ^ b) | (a_all ^ 1 << i) << (ne + nv) for i, b in enumerate(ends)]
+    up += [1 << (ne + v) | at[v] << (ne + nv) for v in range(nv)] + [1 << x for x in range(ne + nv, m)]
+    down = [1 << i for i in range(ne)] + [1 << (ne + v) | (a_all ^ at[v]) for v in range(nv)]
+    down += [1 << (ne + nv + i) | b | (a_all ^ 1 << i) for i, b in enumerate(ends)]
     levels = ["A"] * ne + ["B"] * nv + ["C"] * ne
-    return PhiImage(Poset.from_pairs(m, pairs, levels), g, edges)
+    return PhiImage(Poset._closed(m, up, levels, down), g, edges)
 
 
 def reduce_kayles_to_poset(g: Graph) -> PhiImage:

@@ -232,7 +232,9 @@ class BOnlyContext:
     being picked directly, so a history that stays on that level is just a
     subset of vertices; order does not matter.  What every probe reads is
     built once: ``cones[v]``, the up-cone mask of vertex v's element;
-    ``a_of``, the low copy of each edge; ``b_mask``, the vertex level.
+    ``a_of``, the low copy of each edge; ``b_mask``, the vertex level.  The
+    probes share one table, but each check counts its states against its
+    own ``budget``, so its verdict does not depend on the checks before it.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi):
@@ -241,7 +243,7 @@ class BOnlyContext:
         self.image: PhiImage = phi_fn(self.padded)
         self.game = PosetGame(self.image.poset)
         self.table = TranspositionTable()
-        self.stats = SearchStats(budget=budget)
+        self.budget = budget
         up, b_elements = self.image.poset.up, self.image.b_elements()
         self.cones = tuple(up[b] for b in b_elements)
         self.a_of = {e: a for a, e in enumerate(self.image.edge_order)}
@@ -254,9 +256,6 @@ class BOnlyContext:
                 raise ValueError(f"vertex {v} out of range")
             pos &= ~self.cones[v]
         return pos
-
-    def winner_from(self, pos: int) -> GameValue:
-        return solve_winner(self.game, pos, self.table, stats=self.stats)
 
 
 # lemma -> (endpoints of e in the chosen set, the moves probed in turn, the
@@ -276,6 +275,7 @@ def _check_lemma(lemma: str, g: Graph, chosen, e, ctx: BOnlyContext | None,
     and check the value of its child."""
     endpoints, probes, reply, detail = _LEMMAS[lemma]
     ctx = ctx or BOnlyContext(g, budget)
+    stats = SearchStats(budget=ctx.budget)
     u, v = min(e), max(e)
     if (u, v) not in ctx.padded.edges:
         raise ValueError(f"({u}, {v}) is not an edge of the padded graph")
@@ -296,10 +296,10 @@ def _check_lemma(lemma: str, g: Graph, chosen, e, ctx: BOnlyContext | None,
             if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
                 return (f"{left} vertex-level elements left after gamma({e}), "
                         f"chosen={sorted(chosen)}")
-            if ctx.winner_from(child) is not reply:
+            if solve_winner(ctx.game, child, ctx.table, stats=stats) is not reply:
                 return detail.format(probe=probe, e=e, chosen=sorted(chosen))
 
-    return _verdict(ctx.stats, run, g)
+    return _verdict(stats, run, g)
 
 
 def check_lemma2(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
@@ -397,9 +397,7 @@ def _units(cfg: SuiteConfig, psi_fn, phi_fn):
 def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
     """Run and time each check of one unit.
 
-    A lemma unit has one check per (chosen, e) case, on one shared context
-    that counts states across them; each result gets the states its own
-    check added.
+    A lemma unit has one check per (chosen, e) case, on one shared context.
     """
     name, index, instance = unit
     check = _SUITES[cfg.suite].check
@@ -413,13 +411,11 @@ def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
     else:
         checks = [(name, partial(check, instance, cfg, psi_fn, phi_fn))]
     results = []
-    before = 0
     for case, run in checks:
         t0 = time.perf_counter()
         res = run()
         millis = (time.perf_counter() - t0) * 1000
-        results.append(InstanceResult(case, res.verdict, res.states - before, millis, res.detail))
-        before = res.states
+        results.append(InstanceResult(case, res.verdict, res.states, millis, res.detail))
     return results
 
 

@@ -207,6 +207,21 @@ def test_links_per_rule_set():
         0b0011, 0b0011, 0b0100, 0)
 
 
+def _naive_links(game):
+    """x and y are linked when some move legal on one of them reaches the other."""
+    moves = list(zip(game.legal, game.kill))
+    return tuple(
+        sum(1 << y for y in range(game.size)
+            if any(legal >> x & 1 and (legal | kill) >> y & 1 or legal >> y & 1 and (legal | kill) >> x & 1
+                   for legal, kill in moves))
+        for x in range(game.size))
+
+
+@given(any_rules())
+def test_links_against_naive(game):
+    assert game.links == _naive_links(game)
+
+
 def test_mask_game_rejects_masks_outside_its_elements():
     with pytest.raises(ValueError):
         MaskGame(2, [0b1], [0b101], "vertex")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from posetgames import (
     reduce_kayles_to_poset,
     solve_winner,
 )
-from posetgames.posets import mask_to_sorted
+from posetgames.posets import Poset, mask_to_sorted, transpose
 
 
 def component_sizes(g):
@@ -114,6 +116,49 @@ class TestPhi:
             for x in range(p.m):
                 for y in range(p.m):
                     assert p.leq(x, y) == _expected_leq(image, x, y)
+
+
+def _phi_by_closure(g):
+    """phi the paper's way: close its generating pairs b <= e for the
+    endpoints b of e, and gamma(e) <= b for the other vertices b."""
+    edges = tuple(sorted(g.edges))
+    ne, nv = len(edges), g.n
+    pairs = [(ne + b, ne + nv + i) if b in e else (i, ne + b)
+             for i, e in enumerate(edges) for b in range(nv)]
+    return Poset.from_pairs(nv + 2 * ne, pairs, ["A"] * ne + ["B"] * nv + ["C"] * ne)
+
+
+def _seeded_graphs(count=300, max_n=14):
+    """Random graphs whose edges avoid some vertices; every tenth is edgeless."""
+    rng = random.Random(20121)
+    for i in range(count):
+        n = rng.randint(0, max_n)
+        spread, p = rng.randint(0, n), 0.0 if i % 10 == 0 else rng.random()
+        yield Graph.of(n, [(u, v) for v in range(spread) for u in range(v) if rng.random() < p])
+
+
+class TestPhiClosedForm:
+    """phi writes its cones without a closure; the closure of the paper's
+    generating pairs is the oracle."""
+
+    def _check(self, g):
+        p = phi(g).poset
+        assert p == _phi_by_closure(g)
+        assert p.down == tuple(transpose(p.m, p.up))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_labeled_graph_and_its_padding(self, n):
+        for g in enumerate_labeled_graphs(n):
+            self._check(g)
+            self._check(psi(g))
+
+    def test_seeded_random_graphs(self):
+        graphs = list(_seeded_graphs())
+        for g in graphs:
+            self._check(g)
+        isolated = [g for g in graphs if g.edges and any(not g.degree(v) for v in range(g.n))]
+        assert isolated and any(g.n and not g.edges for g in graphs)
+        assert max(g.n for g in graphs) == 14
 
 
 def _expected_leq(image, x, y):

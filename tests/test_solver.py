@@ -34,7 +34,7 @@ from posetgames import (
     random_poset,
     solve_winner,
 )
-from posetgames import solver
+from posetgames import games, posets, solver
 from posetgames.posets import mask_to_sorted
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
 from oracle import naive_kayles_grundy, naive_poset_grundy, naive_setgame_grundy
@@ -657,3 +657,60 @@ class TestTwins:
     def test_set_game_has_no_twins(self):
         game = SetGameRules(SetGame(3, (frozenset({0, 1}), frozenset({2}), frozenset({2}))))
         assert game.twins == ((0, 0),) * 3
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """The sizes of the matrices the library transposes, one per call."""
+    calls = []
+    real = posets.transpose
+
+    def counted(m, rows):
+        calls.append(m)
+        return real(m, rows)
+
+    monkeypatch.setattr(posets, "transpose", counted)
+    monkeypatch.setattr(games, "transpose", counted)
+    return calls
+
+
+class TestTransposes:
+    """A game transposes its kill masks at most once, and not at all when its
+    source knows the transpose: ``phi`` writes the lower cones, and Kayles
+    neighbourhoods are symmetric."""
+
+    C5 = Graph.of(5, [(i, (i + 1) % 5) for i in range(5)])
+
+    @pytest.mark.parametrize("g", [complete_graph(3), P3, C5, Graph.of(2)], ids=["K3", "P3", "C5", "E2"])
+    def test_phi_image_win_loss(self, transposes, g):
+        image = phi(psi(g))
+        game = PosetGame(image.poset)
+        assert solve_winner(game) is solve_winner(KaylesGame(g))
+        assert "links" in game.__dict__ and "twins" in game.__dict__
+        assert game._cols is image.poset.down
+        assert transposes == []
+
+    def test_kayles_win_loss(self, transposes):
+        game = KaylesGame(self.C5)
+        assert solve_winner(game) is GameValue.LOSS
+        assert "links" in game.__dict__ and "twins" in game.__dict__
+        assert transposes == []
+        assert game._cols == tuple(posets.transpose(5, game.kill))
+
+    def test_grundy_on_chain_sum_transposes_once(self, transposes):
+        game = PosetGame(Poset.from_pairs(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
+        assert grundy(game) == 3 ^ 4
+        assert solve_winner(game, 0b110_0111) is GameValue.WIN  # 3 ^ 2
+        assert transposes == [7]
+
+    def test_chain_cleared_at_once_builds_nothing(self, transposes):
+        game = PosetGame(chain(1500))
+        assert solve_winner(game) is GameValue.WIN
+        assert not {"antichain_win", "_element_game", "_cols", "links", "twins"} & set(game.__dict__)
+        assert transposes == []
+
+    def test_empty_game(self):
+        game = PosetGame(antichain(0))
+        assert solve_winner(game) is GameValue.LOSS
+        assert "antichain_win" not in game.__dict__
+        assert grundy(game) == 0
