@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .graphs import FormatError, Graph
+from .graphs import FormatError, Graph, mask_to_sorted
 from .posets import Poset, transpose
 
 
@@ -204,6 +204,7 @@ def KaylesGame(graph: Graph) -> MaskGame:
         nbhd[u] |= 1 << v
         nbhd[v] |= 1 << u
     game = MaskGame(graph.n, single, nbhd, "vertex")
+    game._element_game = True
     game._cols = game.kill  # closed neighbourhoods are symmetric
     return game
 
@@ -214,39 +215,58 @@ def PosetGame(poset: Poset) -> MaskGame:
     The game reads the poset's lower cones as its kill transpose when the
     poset holds them already, and never builds them."""
     game = MaskGame(poset.m, [1 << x for x in range(poset.m)], poset.up, "element")
+    game._element_game = True
     if poset._down is not None:
         game._cols = poset._down
     return game
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetGame:
-    """A collection of subsets S_1..S_k over ground elements 0..universe-1."""
+    """A collection of subsets S_1..S_k over ground elements 0..universe-1,
+    each held as the mask of its elements."""
 
     universe: int
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        for i, s in enumerate(self.sets):
+    def __init__(self, universe: int, sets: Iterable[Iterable[int]]):
+        masks = []
+        for i, s in enumerate(sets):
+            mask = 0
             for e in s:
-                if not 0 <= e < self.universe:
-                    raise ValueError(f"set {i} has element {e} outside universe {self.universe}")
+                if not 0 <= e < universe:
+                    raise ValueError(f"set {i} has element {e} outside universe {universe}")
+                mask |= 1 << e
+            masks.append(mask)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @classmethod
+    def _unchecked(cls, universe: int, masks: Sequence[int]) -> "SetGame":
+        """A set game from masks already known to lie inside the universe."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "masks", tuple(masks))
+        return self
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(mask_to_sorted(mask)) for mask in self.masks)
 
     @property
     def k(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
 
 def SetGameRules(game: SetGame) -> MaskGame:
     """Set game: picking a non-empty set erases its elements from every set."""
-    masks = [sum(1 << e for e in s) for s in game.sets]
-    return MaskGame(game.universe, masks, masks, "set")
+    return MaskGame(game.universe, game.masks, game.masks, "set")
 
 
 def parse_setgame(text: str) -> SetGame:
     """Parse the set-game format: "k u" then one line of element ids per set."""
     header = None
-    rows: list[frozenset[int]] = []
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
@@ -269,22 +289,23 @@ def parse_setgame(text: str) -> SetGame:
                 raise FormatError(f"more than {header[0]} set lines", lineno)
             continue
         try:
-            elems = frozenset(int(tok) for tok in line.split())
+            elems = [int(tok) for tok in line.split()]
         except ValueError:
             raise FormatError(f"non-integer element in {line!r}", lineno)
+        mask = 0
         for e in elems:
             if not 0 <= e < header[1]:
                 raise FormatError(f"element {e} outside universe {header[1]}", lineno)
-        rows.append(elems)
+            mask |= 1 << e
+        rows.append(mask)
     if header is None:
         raise FormatError("empty set-game file")
     if len(rows) != header[0]:
         raise FormatError(f"expected {header[0]} set lines, found {len(rows)}")
-    return SetGame(header[1], tuple(rows))
+    return SetGame._unchecked(header[1], rows)
 
 
 def format_setgame(s: SetGame) -> str:
     lines = [f"{s.k} {s.universe}"]
-    for members in s.sets:
-        lines.append(" ".join(str(e) for e in sorted(members)))
+    lines.extend(" ".join(map(str, mask_to_sorted(mask))) for mask in s.masks)
     return "\n".join(lines) + "\n"

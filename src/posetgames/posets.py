@@ -20,8 +20,9 @@ when the poset holds it already.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import FormatError, mask_to_sorted
 
@@ -76,7 +77,7 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
 class Poset:
     """Immutable finite poset on elements 0..m-1."""
 
-    __slots__ = ("m", "up", "_down", "levels")
+    __slots__ = ("m", "up", "_down", "_covers", "levels")
 
     def __init__(self, m: int, up: Sequence[int], levels: Sequence[str | None] | None = None):
         bad = validate_relation(m, up)
@@ -88,6 +89,7 @@ class Poset:
         self.m = m
         self.up = tuple(up)
         self._down = None if down is None else tuple(down)
+        self._covers = None
         self.levels = tuple(levels) if levels is not None else None
 
     @classmethod
@@ -182,26 +184,29 @@ class Poset:
             rest &= rest - 1
         return True
 
-    def cover_pairs(self) -> list[tuple[int, int]]:
+    def cover_pairs(self) -> Iterator[tuple[int, int]]:
         """Transitive reduction: (x, y) with x < y and nothing strictly between.
 
-        Ordered by x, then y.  Read from ``up`` alone: the strict cone of x is
+        Ordered by x, then y, and read off one mask of covers per element,
+        built on first use.  Read from ``up`` alone: the strict cone of x is
         walked from its lowest remaining index y, each step marking what lies
         strictly above y and dropping y's cone from the walk.  An element
         above some other element of the cone is marked, whatever the index
         order, so what stays unmarked are the covers of x.
         """
-        up = self.up
-        covers = []
-        for x in range(self.m):
-            strict = up[x] ^ (1 << x)
-            rest, above = strict, 0
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                above |= up[y] ^ (1 << y)
-                rest &= ~up[y]
-            covers.extend((x, y) for y in mask_to_sorted(strict & ~above))
-        return covers
+        if self._covers is None:
+            up = self.up
+            covers = []
+            for x in range(self.m):
+                strict = up[x] ^ (1 << x)
+                rest, above = strict, 0
+                while rest:
+                    y = (rest & -rest).bit_length() - 1
+                    above |= up[y] ^ (1 << y)
+                    rest &= ~up[y]
+                covers.append(strict & ~above)
+            self._covers = tuple(covers)
+        return ((x, y) for x, row in enumerate(self._covers) for y in mask_to_sorted(row))
 
     def disjoint_sum(self, other: "Poset") -> "Poset":
         """Order-disjoint union; other's elements are shifted up by self.m."""
@@ -274,7 +279,7 @@ def to_dot(p: Poset) -> str:
         if p.levels is not None and p.levels[x] is not None:
             attrs = f' [level="{p.levels[x]}"]'
         lines.append(f"  {x}{attrs};")
-    for x, y in sorted(p.cover_pairs()):
+    for x, y in p.cover_pairs():
         lines.append(f"  {x} -> {y};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -287,7 +292,7 @@ def parse_poset(text: str) -> Poset:
     reflexive-transitive closure and rejects cycles.
     """
     m = None
-    pairs: list[tuple[int, int]] = []
+    lows, highs = array("q"), array("q")  # the pairs, without a tuple each
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -311,11 +316,12 @@ def parse_poset(text: str) -> Poset:
             raise FormatError(f"pair ({x}, {y}) must relate distinct elements", lineno)
         if not (0 <= x < m and 0 <= y < m):
             raise FormatError(f"pair ({x}, {y}) out of range for m={m}", lineno)
-        pairs.append((x, y))
+        lows.append(x)
+        highs.append(y)
     if m is None:
         raise FormatError("empty poset file")
     try:
-        return Poset.from_pairs(m, pairs)
+        return Poset.from_pairs(m, zip(lows, highs))
     except ValueError as exc:
         raise FormatError(str(exc))
 

@@ -113,9 +113,11 @@ def reduce_kayles_to_poset(g: Graph) -> PhiImage:
 
 
 def poset_to_setgame(p: Poset) -> SetGame:
-    """One set per element: its upper cone.  Picking S_x mirrors picking x."""
-    sets = tuple(frozenset(p.upper_cone(x)) for x in range(p.m))
-    return SetGame(p.m, sets)
+    """One set per element: its upper cone.  Picking S_x mirrors picking x.
+
+    The set masks are the poset's upper cones as they stand, so the set
+    game's kill masks are the poset game's."""
+    return SetGame._unchecked(p.m, p.up)
 
 
 def format_phi_mapping(image: PhiImage) -> str:

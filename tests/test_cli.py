@@ -17,6 +17,7 @@ from posetgames import (
     chain,
     parse_poset,
     parse_setgame,
+    random_poset,
 )
 from posetgames import cli
 from posetgames.cli import main
@@ -125,6 +126,16 @@ class TestReduce:
         assert main(["reduce", str(src), "--from", "poset", "--to", "setgame", "--out", str(out)]) == 0
         s = parse_setgame(out.read_text())
         assert s.sets == (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}))
+
+    def test_poset_to_setgame_writes_upper_cones(self, tmp_path):
+        p = random_poset(240, 0.05, 11)
+        src = tmp_path / "r240.poset"
+        src.write_text(format_poset(p))
+        out = tmp_path / "r240.sets"
+        assert main(["reduce", str(src), "--from", "poset", "--to", "setgame", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "240 240"
+        assert lines[1:] == [" ".join(str(y) for y in range(240) if p.leq(x, y)) for x in range(240)]
 
     def test_unsupported_direction(self, tmp_path, capsys):
         src = tmp_path / "c3.poset"

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -220,6 +223,18 @@ def _naive_links(game):
 @given(any_rules())
 def test_links_against_naive(game):
     assert game.links == _naive_links(game)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_element_games_are_known_at_build(seed):
+    """Kayles and the poset game set ``_element_game`` when they build the
+    game; the generic check on the same masks agrees."""
+    rng = random.Random(seed)
+    n = rng.randrange(14)
+    board = Graph.of(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+    for game in (KaylesGame(board), PosetGame(random_poset(rng.randrange(14), rng.random(), seed))):
+        assert game.__dict__["_element_game"] is True
+        assert MaskGame(game.size, game.legal, game.kill, game.noun)._element_game is True
 
 
 def test_mask_game_rejects_masks_outside_its_elements():

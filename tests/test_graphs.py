@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from posetgames import (
     parse_poset,
     parse_setgame,
 )
+from posetgames.graphs import mask_to_sorted
 
 
 def small_graphs(max_n=4):
@@ -206,3 +208,18 @@ class TestGraphInvariants:
     def test_endpoint_range(self):
         with pytest.raises(ValueError):
             Graph(2, frozenset({(0, 2)}))
+
+
+def _seeded_mask(bits, density, seed):
+    rng = random.Random(seed)
+    return sum(1 << i for i in range(bits) if rng.random() < density)
+
+
+@pytest.mark.parametrize("mask", [
+    0,
+    1 << 1499,
+    _seeded_mask(1500, 0.5, 1),
+    _seeded_mask(1500, 0.02, 2),
+], ids=["zero", "bit-1499", "dense-1500", "sparse-1500"])
+def test_mask_to_sorted_against_per_bit_reference(mask):
+    assert mask_to_sorted(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -7,6 +7,7 @@ from posetgames import (
     Graph,
     KaylesGame,
     PosetGame,
+    SetGame,
     SetGameRules,
     antichain,
     chain,
@@ -212,6 +213,17 @@ class TestPosetToSetGame:
         assert s.sets[b0] == {b0, c}
         assert s.sets[b1] == {b1, c}
         assert s.sets[c] == {c}
+
+    @pytest.mark.parametrize("m, density, seed", [(0, 0.5, 1), (1, 0.5, 2), (12, 0.3, 3), (40, 0.1, 4), (40, 0.6, 5)])
+    def test_identity_on_kill_masks(self, m, density, seed):
+        p = random_poset(m, density, seed)
+        s = poset_to_setgame(p)
+        rules = SetGameRules(s)
+        assert rules.legal == rules.kill == p.up
+        # the public constructor, from frozensets, builds the same game
+        from_sets = SetGame(m, tuple(frozenset(p.upper_cone(x)) for x in range(m)))
+        assert from_sets == s and hash(from_sets) == hash(s)
+        assert s.sets == from_sets.sets and s.k == m
 
     @given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 999))
     @settings(max_examples=50, deadline=None)
