@@ -81,10 +81,11 @@ class MaskGame:
         Only moves whose legal mask holds e count.  A move that merely kills
         e says nothing once e is gone; in Kayles it would link the two ends
         of a path through a deleted middle vertex.  In an element game e is
-        linked to what its move kills and to the moves that kill it.
+        linked to what its move kills and to the moves that kill it.  The
+        tuple is built from a list, for the reason ``_element_game`` gives.
         """
         if self._element_game:
-            return tuple(map(or_, self.kill, self._cols))
+            return tuple([*map(or_, self.kill, self._cols)])
         links = [0] * self.size
         for legal, kill in zip(self.legal, self.kill):
             reach = legal | kill
@@ -93,7 +94,7 @@ class MaskGame:
                 low = rest & -rest
                 links[low.bit_length() - 1] |= reach
                 rest ^= low
-        return tuple(a | b for a, b in zip(links, transpose(self.size, links)))
+        return tuple([*map(or_, links, transpose(self.size, links))])
 
     @cached_property
     def _element_game(self) -> bool:

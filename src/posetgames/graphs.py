@@ -122,7 +122,7 @@ def enumerate_labeled_graphs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Gra
     low, high = _subsets(pairs[:half]), _subsets(pairs[half:])
     for hi in high:  # mask = index of hi << half | index of lo, ascending
         for lo in low:
-            yield Graph(n, lo | hi)
+            yield Graph._unchecked(n, lo | hi)
 
 
 def _subsets(items: list) -> list[frozenset]:

@@ -9,7 +9,10 @@ deterministic for a fixed config, including the sampling seed.
 
 Every check runs through ``_verdict``, its solves under one budgeted
 ``SearchStats``.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table,
-and the ``_SUITES`` table holds all the driver knows about a suite.
+and the ``_SUITES`` table holds all ``run_suite`` knows about a suite.  A
+lemma unit is one source graph and its ``BOnlyContext``: ``_run_unit``
+checks its cases, each a mask of vertex picks and an edge, in one loop on
+that context, which caches the position after each mask.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .games import KaylesGame, PosetGame, SetGameRules
-from .graphs import ENUMERATION_CAP, Graph, enumerate_labeled_graphs, format_graph
+from .graphs import ENUMERATION_CAP, Graph, enumerate_labeled_graphs, format_graph, mask_to_sorted
 from .posets import Poset, format_poset, random_poset
 from .reductions import PhiImage, phi, poset_to_setgame, psi
 from .solver import (
@@ -74,14 +77,14 @@ class SuiteConfig:
             raise ValueError(f"max_n={n} is not between 1 and the {self.suite} cap {cap}")
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     verdict: str  # "pass" | "fail" | "inconclusive"
     states: int = 0
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)  # one per case, and a report holds them all
 class InstanceResult:
     instance: str
     verdict: str
@@ -174,12 +177,12 @@ def check_psi_properties(g: Graph, psi_fn=psi) -> CheckResult:
         h = psi_fn(g)
         if len(h.edges) % 2 != 1:
             return f"even edge count {len(h.edges)}"
-        common = set(range(h.n))  # the vertices on every edge seen so far
-        for e in h.edges:
-            common.intersection_update(e)
+        common = (1 << h.n) - 1  # the vertices on every edge seen so far
+        for u, v in h.edges:
+            common &= 1 << u | 1 << v
             if not common:
                 return None
-        return f"vertex {min(common)} incident to every edge"
+        return f"vertex {(common & -common).bit_length() - 1} incident to every edge"
 
     return _verdict(SearchStats(), run, g)
 
@@ -232,9 +235,12 @@ class BOnlyContext:
     being picked directly, so a history that stays on that level is just a
     subset of vertices; order does not matter.  What every probe reads is
     built once: ``cones[v]``, the up-cone mask of vertex v's element;
-    ``a_of``, the low copy of each edge; ``b_mask``, the vertex level.  The
-    probes share one table, but each check counts its states against its
-    own ``budget``, so its verdict does not depend on the checks before it.
+    ``edges[e]``, edge e's low copy, its element and the mask of its
+    endpoints; ``b_mask``, the vertex level.  The position after each set of
+    picks is cached by the set's mask, since the exhaustive cases pick one
+    set for every edge in turn.  The probes share one table, but each check
+    counts its states against its own ``budget``, so its verdict does not
+    depend on the checks before it.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi):
@@ -246,81 +252,104 @@ class BOnlyContext:
         self.budget = budget
         up, b_elements = self.image.poset.up, self.image.b_elements()
         self.cones = tuple(up[b] for b in b_elements)
-        self.a_of = {e: a for a, e in enumerate(self.image.edge_order)}
+        c_elements = self.image.c_elements()
+        self.edges = {
+            e: (a, c_elements[a], 1 << e[0] | 1 << e[1]) for a, e in enumerate(self.image.edge_order)
+        }
         self.b_mask = sum(1 << b for b in b_elements)
+        self._positions = {0: self.game.initial()}
 
     def position_after(self, chosen) -> int:
-        pos = self.game.initial()
+        mask = 0
         for v in chosen:
             if not 0 <= v < len(self.cones):
                 raise ValueError(f"vertex {v} out of range")
-            pos &= ~self.cones[v]
+            mask |= 1 << v
+        return self._after(mask)
+
+    def _after(self, chosen: int) -> int:
+        """The position after picking the vertices in the mask ``chosen``."""
+        pos = self._positions.get(chosen)
+        if pos is None:
+            rest = chosen & (chosen - 1)  # all picks but the lowest
+            pos = self._after(rest) & ~self.cones[(chosen ^ rest).bit_length() - 1]
+            self._positions[chosen] = pos
         return pos
 
 
-# lemma -> (endpoints of e in the chosen set, the moves probed in turn, the
-# value each probe's child must have, fail detail).  Lemma 3 also checks that
-# its probe leaves exactly one vertex-level element.
+# lemma -> (endpoints of e in the chosen set, the moves probed in turn, each
+# with its place in an ``edges`` entry, the value each probe's child must
+# have, fail detail).  Lemma 3 also checks that its probe leaves exactly one
+# vertex-level element.
 _LEMMAS = {
-    "lemma2": (2, ("gamma(e)",), GameValue.LOSS, "gamma({e}) not winning after chosen={chosen}"),
-    "lemma3": (1, ("gamma(e)",), GameValue.WIN, "gamma({e}) not losing after chosen={chosen}"),
-    "lemma4": (0, ("e", "gamma(e)"), GameValue.WIN, "{probe} for {e} not losing, chosen={chosen}"),
+    "lemma2": (2, (("gamma(e)", 0),), GameValue.LOSS, "gamma({e}) not winning after chosen={chosen}"),
+    "lemma3": (1, (("gamma(e)", 0),), GameValue.WIN, "gamma({e}) not losing after chosen={chosen}"),
+    "lemma4": (0, (("e", 1), ("gamma(e)", 0)), GameValue.WIN,
+               "{probe} for {e} not losing, chosen={chosen}"),
 }
 _ENDPOINTS = ("neither endpoint", "exactly one endpoint", "both endpoints")
 
 
-def _check_lemma(lemma: str, g: Graph, chosen, e, ctx: BOnlyContext | None,
-                 budget: int) -> CheckResult:
-    """Play each probed move of ``lemma`` after the vertex picks ``chosen``
-    and check the value of its child."""
+def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e) -> CheckResult:
+    """Play each probed move of ``lemma`` after picking the vertices in the
+    mask ``chosen``, and check the value of its child.  The edge, its
+    endpoints in ``chosen`` and the probed elements are checked before the
+    first solve."""
     endpoints, probes, reply, detail = _LEMMAS[lemma]
-    ctx = ctx or BOnlyContext(g, budget)
+    edge = ctx.edges.get(e)
+    if edge is None:
+        raise ValueError(f"{e} is not an edge of the padded graph")
+    if (chosen & edge[2]).bit_count() != endpoints:
+        raise ValueError(f"{lemma} needs {_ENDPOINTS[endpoints]} of e in the chosen set")
+    pos = ctx._after(chosen)
+    for _, k in probes:
+        if not pos >> edge[k] & 1:
+            raise ValueError(f"edge {e} already removed from the position")
     stats = SearchStats(budget=ctx.budget)
-    u, v = min(e), max(e)
-    if (u, v) not in ctx.padded.edges:
-        raise ValueError(f"({u}, {v}) is not an edge of the padded graph")
+
+    def run():
+        for probe, k in probes:
+            child = pos & ~ctx.game.kill[edge[k]]
+            if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
+                return (f"{left} vertex-level elements left after gamma({e}), "
+                        f"chosen={mask_to_sorted(chosen)}")
+            if solve_winner(ctx.game, child, ctx.table, stats=stats) is not reply:
+                return detail.format(probe=probe, e=e, chosen=mask_to_sorted(chosen))
+
+    return _verdict(stats, run, ctx.source)
+
+
+def _check_lemma_for_set(lemma: str, g: Graph, chosen, e, ctx: BOnlyContext | None,
+                         budget: int) -> CheckResult:
+    """``_check_lemma`` for the vertex set ``chosen``, checked to lie in the
+    padded graph, and the edge e in either orientation, on ``ctx`` or a
+    fresh context for g."""
+    ctx = ctx or BOnlyContext(g, budget)
     bad = [w for w in chosen if not 0 <= w < ctx.padded.n]
     if bad:
         raise ValueError(f"chosen vertices {bad} out of range")
-    if (u in chosen) + (v in chosen) != endpoints:
-        raise ValueError(f"{lemma} needs {_ENDPOINTS[endpoints]} of e in the chosen set")
-    pos = ctx.position_after(chosen)
-    a = ctx.a_of[u, v]
-    moves = {"e": ctx.image.c_elements()[a], "gamma(e)": a}
-    if not all(pos >> moves[probe] & 1 for probe in probes):
-        raise ValueError(f"edge {e} already removed from the position")
-
-    def run():
-        for probe in probes:
-            child = ctx.game.apply(pos, moves[probe])
-            if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
-                return (f"{left} vertex-level elements left after gamma({e}), "
-                        f"chosen={sorted(chosen)}")
-            if solve_winner(ctx.game, child, ctx.table, stats=stats) is not reply:
-                return detail.format(probe=probe, e=e, chosen=sorted(chosen))
-
-    return _verdict(stats, run, g)
+    return _check_lemma(lemma, ctx, sum({1 << w for w in chosen}), (min(e), max(e)))
 
 
 def check_lemma2(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
                  budget: int = DEFAULT_BUDGET) -> CheckResult:
     """With both endpoints of e already picked, the low copy of e must be a
     winning move."""
-    return _check_lemma("lemma2", g, chosen, e, ctx, budget)
+    return _check_lemma_for_set("lemma2", g, chosen, e, ctx, budget)
 
 
 def check_lemma3(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
                  budget: int = DEFAULT_BUDGET) -> CheckResult:
     """With exactly one endpoint picked, the low copy of e must be a losing
     move, and playing it must strand exactly one vertex-level element."""
-    return _check_lemma("lemma3", g, chosen, e, ctx, budget)
+    return _check_lemma_for_set("lemma3", g, chosen, e, ctx, budget)
 
 
 def check_lemma4(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
                  budget: int = DEFAULT_BUDGET) -> CheckResult:
     """With neither endpoint picked, both e and its low copy must be losing
     moves."""
-    return _check_lemma("lemma4", g, chosen, e, ctx, budget)
+    return _check_lemma_for_set("lemma4", g, chosen, e, ctx, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -328,35 +357,33 @@ def check_lemma4(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
 
 
 def _lemma_cases(ctx: BOnlyContext, which: int, graph_index: int, seed: int):
-    """(chosen, e) pairs qualifying for a lemma: endpoints-chosen count
-    ``which``.  Exhaustive for tiny sources, seeded sample otherwise."""
+    """(chosen, e) pairs qualifying for a lemma: ``chosen`` is the mask of the
+    picked vertices, ``which`` of them endpoints of e.  Exhaustive for tiny
+    sources, seeded sample otherwise."""
     h = ctx.padded
     edges = sorted(h.edges)
     if ctx.source.n <= LEMMA_EXHAUSTIVE_MAX_N:
-        for bits in range(1 << h.n):
-            chosen = frozenset(v for v in range(h.n) if bits >> v & 1)
-            for e in edges:
-                if (e[0] in chosen) + (e[1] in chosen) == which:
+        ends = [(e, ctx.edges[e][2]) for e in edges]
+        for chosen in range(1 << h.n):
+            for e, mask in ends:
+                if (chosen & mask).bit_count() == which:
                     yield chosen, e
         return
     rng = random.Random(seed * 1_000_003 + graph_index)
     for _ in range(LEMMA_SAMPLES_PER_GRAPH):
-        e = edges[rng.randrange(len(edges))]
-        others = [v for v in range(h.n) if v not in e]
-        base = {v for v in others if rng.random() < 0.5}
+        u, v = e = edges[rng.randrange(len(edges))]
+        chosen = sum(1 << w for w in range(h.n) if w != u and w != v and rng.random() < 0.5)
         if which == 2:
-            chosen = base | set(e)
+            chosen |= 1 << u | 1 << v
         elif which == 1:
-            chosen = base | {e[rng.randrange(2)]}
-        else:
-            chosen = base
-        yield frozenset(chosen), e
+            chosen |= 1 << e[rng.randrange(2)]
+        yield chosen, e
 
 
 class _Suite(NamedTuple):
     default_max_n: int
     cap: int  # the largest max_n accepted
-    check: Callable  # (unit, config, psi_fn, phi_fn) -> CheckResult; a lemma's check_lemma*
+    check: Callable | None  # (unit, config, psi_fn, phi_fn) -> CheckResult; None for a lemma
     posets: bool = False  # units are the graphs' phi images, then random posets
 
 
@@ -367,9 +394,9 @@ _SUITES = {
     "lemma1": _Suite(
         5, ENUMERATION_CAP, lambda g, cfg, psi_fn, _: check_lemma1(g, cfg.budget, psi_fn)
     ),
-    "lemma2": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, check_lemma2),
-    "lemma3": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, check_lemma3),
-    "lemma4": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, check_lemma4),
+    "lemma2": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, None),
+    "lemma3": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, None),
+    "lemma4": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, None),
     "setgame": _Suite(3, 3, lambda p, cfg, *_: check_setgame_equiv(p, cfg.budget), posets=True),
     "psi": _Suite(6, ENUMERATION_CAP, lambda g, cfg, psi_fn, _: check_psi_properties(g, psi_fn)),
 }
@@ -400,22 +427,19 @@ def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
     A lemma unit has one check per (chosen, e) case, on one shared context.
     """
     name, index, instance = unit
+    clock = time.perf_counter
     check = _SUITES[cfg.suite].check
-    if cfg.suite in _LEMMAS:
-        ctx = BOnlyContext(instance, cfg.budget, psi_fn, phi_fn)
-        cases = enumerate(_lemma_cases(ctx, _LEMMAS[cfg.suite][0], index, cfg.seed))
-        checks = (
-            (f"{name}/case={ci}", partial(check, instance, chosen, e, ctx=ctx))
-            for ci, (chosen, e) in cases
-        )
-    else:
-        checks = [(name, partial(check, instance, cfg, psi_fn, phi_fn))]
+    if check is not None:
+        t0 = clock()
+        res = check(instance, cfg, psi_fn, phi_fn)
+        return [InstanceResult(name, res.verdict, res.states, (clock() - t0) * 1000, res.detail)]
+    ctx = BOnlyContext(instance, cfg.budget, psi_fn, phi_fn)
     results = []
-    for case, run in checks:
-        t0 = time.perf_counter()
-        res = run()
-        millis = (time.perf_counter() - t0) * 1000
-        results.append(InstanceResult(case, res.verdict, res.states, millis, res.detail))
+    for ci, (chosen, e) in enumerate(_lemma_cases(ctx, _LEMMAS[cfg.suite][0], index, cfg.seed)):
+        t0 = clock()
+        res = _check_lemma(cfg.suite, ctx, chosen, e)
+        millis = (clock() - t0) * 1000
+        results.append(InstanceResult(f"{name}/case={ci}", res.verdict, res.states, millis, res.detail))
     return results
 
 

@@ -87,11 +87,15 @@ class TestDisjointUnion:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 8), (4, 64)])
+    @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 8), (4, 64), (5, 1024)])
     def test_counts(self, n, count):
         graphs = list(enumerate_labeled_graphs(n))
         assert len(graphs) == count
         assert len(set(graphs)) == count
+        # enumeration skips validation; each graph must be the one Graph(...) builds
+        for g in graphs:
+            checked = Graph(n, g.edges)
+            assert g == checked and hash(g) == hash(checked)
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -16,13 +16,17 @@ from posetgames import (
     KaylesGame,
     random_poset,
 )
+from posetgames import verify
+from posetgames.graphs import enumerate_labeled_graphs
 from posetgames.posets import Poset
-from posetgames.reductions import PhiImage
+from posetgames.reductions import PhiImage, phi, psi
 from posetgames.verify import (
     BOnlyContext,
     DEFAULT_SEED,
     SUITES,
     SuiteConfig,
+    _run_unit,
+    _units,
     check_lemma1,
     check_lemma2,
     check_lemma3,
@@ -60,7 +64,7 @@ class TestLemma2Check:
         assert res.verdict == "pass"
         # after the winning reply only the other low edge copies remain
         pos = ctx.position_after({0, 1})
-        after = ctx.game.apply(pos, ctx.a_of[0, 1])
+        after = ctx.game.apply(pos, ctx.edges[0, 1][0])
         remaining = [x for x in ctx.image.a_elements() if after >> x & 1]
         assert after.bit_count() == len(remaining) == 2
 
@@ -111,7 +115,7 @@ class TestLemma3Check:
         # a table that calls the child lost makes gamma(e) a winning move
         ctx = BOnlyContext(K2)
         pos = ctx.position_after({0})
-        ctx.table.wins[ctx.game.apply(pos, ctx.a_of[0, 1])] = False
+        ctx.table.wins[ctx.game.apply(pos, ctx.edges[0, 1][0])] = False
         res = check_lemma3(K2, {0}, (0, 1), ctx=ctx)
         assert res.verdict == "fail"
         assert res.detail == f"gamma((0, 1)) not losing after chosen=[0] on\n{format_graph(K2)}"
@@ -137,10 +141,58 @@ class TestLemma4Check:
         # makes the second probe fail
         ctx = BOnlyContext(K2)
         pos = ctx.position_after(set())
-        ctx.table.wins[ctx.game.apply(pos, ctx.a_of[0, 1])] = False
+        ctx.table.wins[ctx.game.apply(pos, ctx.edges[0, 1][0])] = False
         res = check_lemma4(K2, set(), (0, 1), ctx=ctx)
         assert res.verdict == "fail"
         assert res.detail == f"gamma(e) for (0, 1) not losing, chosen=[] on\n{format_graph(K2)}"
+
+
+class TestRunUnitAgainstFreshContext:
+    """``_run_unit`` runs a unit's lemma cases as vertex masks on one context,
+    with a cached position per mask and one table.  Each case must see the
+    position built from scratch and get the verdict of a check on a fresh
+    context; the exhaustive cases must be the (set, edge) pairs counted
+    directly."""
+
+    CHECKS = {"lemma2": check_lemma2, "lemma3": check_lemma3, "lemma4": check_lemma4}
+
+    @pytest.mark.parametrize("lemma", ["lemma2", "lemma3", "lemma4"])
+    def test_cases_match(self, lemma, monkeypatch):
+        cfg = SuiteConfig(lemma, max_n=4)
+        units = list(_units(replace(cfg, max_n=3), psi, phi))
+        n4 = list(enumerate_labeled_graphs(4))
+        units += [(f"n=4/g={gi}", gi, n4[gi]) for gi in (0, 22, 63)]  # sampled cases
+        seen = []
+
+        def spy(lemma, ctx, chosen, e):
+            res = real(lemma, ctx, chosen, e)
+            seen.append((ctx, chosen, e, ctx._positions[chosen]))
+            return res
+
+        real = verify._check_lemma
+        monkeypatch.setattr(verify, "_check_lemma", spy)
+        runs = [(g, _run_unit(cfg, psi, phi, (name, gi, g))) for name, gi, g in units]
+        monkeypatch.undo()
+
+        cases = iter(seen)
+        which = {"lemma2": 2, "lemma3": 1, "lemma4": 0}[lemma]
+        for g, results in runs:
+            unit_cases = [next(cases) for _ in results]
+            ctx = unit_cases[0][0]
+            h, image = ctx.padded, ctx.image
+            if g.n <= 3:
+                assert [(chosen, e) for _, chosen, e, _ in unit_cases] == [
+                    (bits, e) for bits in range(1 << h.n) for e in sorted(h.edges)
+                    if (bits >> e[0] & 1) + (bits >> e[1] & 1) == which]
+            for (_, chosen, e, pos), r in zip(unit_cases, results):
+                vertices = [v for v in range(h.n) if chosen >> v & 1]
+                cones = 0
+                for v in vertices:
+                    cones |= image.poset.up[image.b_of_vertex(v)]
+                assert pos == (1 << image.poset.m) - 1 & ~cones
+                fresh = self.CHECKS[lemma](g, vertices, e)
+                assert (r.verdict, r.detail) == (fresh.verdict, fresh.detail) == ("pass", "")
+        assert next(cases, None) is None
 
 
 class TestTheoremCheck:
