@@ -32,7 +32,7 @@ from .solver import (
     grundy,
     solve_winner,
 )
-from .verify import DEFAULT_BUDGET, DEFAULT_SEED, SUITES, SuiteConfig, run_suite
+from .suites import DEFAULT_BUDGET, DEFAULT_SEED, SUITES
 
 
 def _load_game(path: str, game: str):
@@ -102,6 +102,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SuiteConfig, run_suite  # the other subcommands never load the suites
+
     config = SuiteConfig(
         suite=args.suite,
         max_n=args.max_n,

@@ -33,6 +33,8 @@ from .posets import Poset, transpose
 class MaskGame:
     """Rules with one ``(legal, kill)`` mask pair per move index."""
 
+    _poset = False  # whether move x removes the upper cone of x in a poset
+
     def __init__(self, size: int, legal: Sequence[int], kill: Sequence[int], noun: str):
         self.size = size
         self.legal = tuple(legal)
@@ -119,9 +121,28 @@ class MaskGame:
         move, so that the reduction checks search both of their sides.
         """
         if self.noun == "set" or not self._element_game:
-            return _no_antichain
+            return _never
         out = tuple(kill ^ legal for legal, kill in zip(self.legal, self.kill))
         return partial(_antichain_win, out, reduce(or_, out, 0))
+
+    @cached_property
+    def nim_heap(self):
+        """``nim_heap(q)``: the size of q if q is a chain of a poset game,
+        else None; built on first use.
+
+        q is a chain when each of its elements is comparable to all of q.
+        ``links[x]`` is x's upper cone with its lower cone, so that reads
+        ``links[x] & q == q`` for each x in q.  A move at the i-th lowest
+        element of a chain leaves the i - 1 below it, so the chain is the Nim
+        heap *|q|.  Only rules built by ``PosetGame`` get the test, since it
+        needs kills that are the upper cones of a partial order; other rules
+        get a function that always returns None.  A Kayles clique is worth
+        *1, not *k, and a set game is searched move by move, for the reason
+        ``antichain_win`` gives.
+        """
+        if not self._poset:
+            return _never
+        return partial(_nim_heap, self.links)
 
     @cached_property
     def twins(self) -> tuple[tuple[int, int], ...]:
@@ -178,7 +199,7 @@ class MaskGame:
         return parts
 
 
-def _no_antichain(p: int) -> None:
+def _never(p: int) -> None:
     return None
 
 
@@ -195,6 +216,17 @@ def _antichain_win(out: tuple[int, ...], killed: int, p: int) -> bool | None:
                 return None
             rest ^= low
     return p.bit_count() & 1 == 1
+
+
+def _nim_heap(links: tuple[int, ...], q: int) -> int | None:
+    """``MaskGame.nim_heap`` of a poset game with these ``links``."""
+    rest = q
+    while rest:
+        low = rest & -rest
+        if links[low.bit_length() - 1] & q != q:
+            return None
+        rest ^= low
+    return q.bit_count()
 
 
 def KaylesGame(graph: Graph) -> MaskGame:
@@ -217,6 +249,7 @@ def PosetGame(poset: Poset) -> MaskGame:
     poset holds them already, and never builds them."""
     game = MaskGame(poset.m, [1 << x for x in range(poset.m)], poset.up, "element")
     game._element_game = True
+    game._poset = True
     if poset._down is not None:
         game._cols = poset._down
     return game

@@ -36,10 +36,7 @@ from .solver import (
     grundy,
     solve_winner,
 )
-
-# arbitrary constant, fixed so that sampled regimes are reproducible
-DEFAULT_SEED = 1381187924
-DEFAULT_BUDGET = 5_000_000
+from .suites import DEFAULT_BUDGET, DEFAULT_SEED, SUITES
 
 # exhaustive (chosen, e) cross products are only affordable for tiny sources;
 # larger sources get a fixed-size seeded sample per graph
@@ -399,8 +396,7 @@ _SUITES = {
     "lemma4": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, None),
     "setgame": _Suite(3, 3, lambda p, cfg, *_: check_setgame_equiv(p, cfg.budget), posets=True),
     "psi": _Suite(6, ENUMERATION_CAP, lambda g, cfg, psi_fn, _: check_psi_properties(g, psi_fn)),
-}
-SUITES = tuple(_SUITES)
+}  # keyed in the order of SUITES
 
 
 def _units(cfg: SuiteConfig, psi_fn, phi_fn):

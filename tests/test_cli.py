@@ -97,6 +97,7 @@ class TestGrundy:
         out, err = capsys.readouterr()
         assert out.strip() == str(m)
         assert "Traceback" not in err and "error" not in err
+        assert err.startswith("states=1 ")  # a chain is a Nim heap: no search
 
 
 class TestReduce:
@@ -163,6 +164,21 @@ class TestVerify:
     def test_empty_regime_rejected(self, capsys, max_n):
         assert main(["verify", "--suite", "theorem", "--max-n", max_n]) == 2
         assert "max_n" in capsys.readouterr().err
+
+    def test_parser_defaults_are_the_suites(self):
+        from posetgames.verify import SuiteConfig
+
+        args = cli.build_parser().parse_args(["verify", "--suite", "psi"])
+        assert (args.seed, args.budget) == (SuiteConfig.seed, SuiteConfig.budget)
+
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        from posetgames.verify import SUITES
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "lemma9"])
+        assert exc.value.code == 2
+        choices = ", ".join(f"'{s}'" for s in SUITES)
+        assert f"invalid choice: 'lemma9' (choose from {choices})" in capsys.readouterr().err
 
 
 class TestExportDot:
@@ -234,3 +250,10 @@ class TestStartup:
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_import_does_not_load_the_suites(self):
+        # only the verify subcommand needs them; every other run would compile verify.py for nothing
+        env = dict(os.environ, PYTHONPATH=str(Path(posetgames.__file__).parent.parent))
+        code = "import sys, posetgames.cli; print('posetgames.verify' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -352,6 +352,68 @@ class TestAntichains:
         assert stats.states == 5
 
 
+class TestChains:
+    """Grundy search answers a chain of a poset game as the Nim heap of its
+    size, without searching it."""
+
+    def test_every_position_against_oracle(self):
+        # every subset, not only the down-sets: x < y < z without y is a chain too
+        chains = 0
+        for i in range(60):
+            rng = random.Random(DEFAULT_SEED + i)
+            p = random_poset(rng.randint(1, 7), rng.uniform(0.3, 1), DEFAULT_SEED * 31 + i)
+            game = PosetGame(p)
+            for pos in range(1 << p.m):
+                chains += any((game.nim_heap(part) or 0) > 1 for part in game.components(pos))
+                want = naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
+                assert grundy(game, pos) == want, f"{pos:b} in {p.up}"
+        assert chains > 1000  # 1 157 of the 2 100 positions hold a chain of two or more
+
+    @given(
+        # the oracle takes exponential time in the parts' sizes: 4 + 4 + 4 elements take 20 s
+        st.integers(0, 3), st.floats(0, 1), st.integers(0, 99),
+        st.lists(st.integers(1, 3), max_size=2), st.integers(0, 4), st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sums_with_chains_against_oracle(self, m, density, seed, lengths, steps, data):
+        p = random_poset(m, density, seed)
+        for length in lengths:
+            p = p.disjoint_sum(chain(length))
+        game = PosetGame(p)
+        pos = play(game, data, steps)
+        assert_solves(game, pos, naive_poset_grundy(p, frozenset(mask_to_sorted(pos))))
+
+    def test_reversed_chains_are_two_states(self):
+        for solve, want in ((grundy, 120 ^ 100), (solve_winner, GameValue.WIN)):
+            table, stats = TranspositionTable(), SearchStats()
+            assert solve(reversed_chains(120, 100), table=table, stats=stats) == want
+            assert stats.states == 2
+            low, high = (1 << 120) - 1, (1 << 220) - (1 << 120)
+            assert (table.values[low], table.values[high]) == (120, 100)
+
+    def test_budget_counts_each_chain(self):
+        stats = SearchStats()
+        with pytest.raises(BudgetExceeded) as exc:
+            grundy(reversed_chains(120, 100), budget=1, stats=stats)
+        assert exc.value.states == stats.states == 2
+
+    def test_kayles_clique_is_star_one(self):
+        game = KaylesGame(complete_graph(5))
+        assert grundy(game) == 1
+        assert game.nim_heap(game.initial()) is None
+
+    def test_set_game_keeps_its_search(self):
+        # the upper cones of a 6-chain: a chain of sets, each in the next
+        stats = SearchStats()
+        assert grundy(SetGameRules(poset_to_setgame(chain(6))), stats=stats) == 6
+        assert stats.states > 1
+
+    def test_win_loss_search_does_not_build_the_test(self):
+        game = PosetGame(phi(psi(complete_graph(3))).poset)
+        solve_winner(game)
+        assert "nim_heap" not in game.__dict__
+
+
 @pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="counts CPython 3.11 code units",

@@ -320,9 +320,13 @@ GOLDEN_RECORDS = {
     "lemma2": "be638dab8738e80348f68f9f36a3a90ceadb5619e10ff2d9827fefbff0df0b76",
     "lemma3": "7e66a52b73dd7f6a5c0809a1db10064fec900eb0e21841e57d60b746680ade7f",
     "lemma4": "8172a094a0702512404f21c9764422325e4fa4e4a68e135ee5b97aaa6ddc990d",
-    "setgame": "ed3780c3cf419587c8c0ba7a41fb1c58b22c28598c36a71e62fd22f2f0b47a2c",
+    "setgame": "b803abfde469349eebdeccff0c044995899117f1bd8ddee4c278820fa2cffd01",
     "psi": "c73941ec7afd1d04a7034def44230e50a1bea89a45d0686bfb6c2f7f401879de",
 }
+
+
+def test_suite_table_follows_the_names():
+    assert tuple(verify._SUITES) == SUITES
 
 
 @pytest.mark.parametrize("suite", SUITES)
