@@ -5,9 +5,7 @@ from .graphs import (
     ENUMERATION_CAP,
     FormatError,
     Graph,
-    closed_neighborhood,
     complete_graph,
-    connected_components,
     disjoint_union,
     enumerate_labeled_graphs,
     format_graph,
@@ -40,7 +38,6 @@ from .solver import (
     TranspositionTable,
     best_move,
     grundy,
-    mex,
     solve_winner,
 )
 from .reductions import (

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, compress
 from typing import Iterable, Iterator
 
@@ -51,29 +50,6 @@ class Graph:
         norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return cls(n, norm)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """``adjacency[v]``: the mask of v's neighbours, built on first use."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
-
-    def neighbors(self, v: int) -> set[int]:
-        return set(mask_to_sorted(self._row(v)))
-
-    def degree(self, v: int) -> int:
-        return self._row(v).bit_count()
-
-    def _row(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return self.adjacency[v]
-
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -100,14 +76,7 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, a.edges | frozenset(shifted))
 
 
-def closed_neighborhood(g: Graph, v: int) -> set[int]:
-    """The vertex v together with all vertices adjacent to it."""
-    out = g.neighbors(v)
-    out.add(v)
-    return out
-
-
-def enumerate_labeled_graphs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Graph]:
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled simple graphs on n vertices.
 
     Deterministic order: the possible edges are sorted lexicographically and
@@ -115,8 +84,8 @@ def enumerate_labeled_graphs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Gra
     every subset of the low and of the high half of the edges is built once,
     so each graph's edges are one union of a high and a low subset.
     """
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     pairs = list(combinations(range(n), 2))  # already in lexicographic order
     half = (len(pairs) + 1) // 2
     low, high = _subsets(pairs[:half]), _subsets(pairs[half:])
@@ -131,24 +100,6 @@ def _subsets(items: list) -> list[frozenset]:
     for item in items:
         out += [s | {item} for s in out]
     return out
-
-
-def connected_components(g: Graph) -> list[set[int]]:
-    """The vertex sets of g's components, ordered by their lowest vertex."""
-    adj = g.adjacency
-    rest = (1 << g.n) - 1
-    comps = []
-    while rest:
-        todo = comp = rest & -rest
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = adj[low.bit_length() - 1] & ~comp
-            comp |= new
-            todo |= new
-        rest ^= comp
-        comps.append(set(mask_to_sorted(comp)))
-    return comps
 
 
 def parse_graph(text: str) -> Graph:

@@ -162,28 +162,6 @@ class Poset:
             raise ValueError(f"pair ({x}, {y}) out of range for m={self.m}")
         return bool(self.up[x] >> y & 1)
 
-    @property
-    def full_position(self) -> int:
-        return (1 << self.m) - 1
-
-    def upper_cone(self, x: int) -> set[int]:
-        """{y : x <= y}; contains x by reflexivity."""
-        if not 0 <= x < self.m:
-            raise ValueError(f"element {x} out of range")
-        return set(mask_to_sorted(self.up[x]))
-
-    def is_down_set(self, pos: int) -> bool:
-        if pos < 0 or pos >> self.m:
-            raise ValueError(f"position {pos} is not a set of the poset's {self.m} elements")
-        down = self.down
-        rest = pos
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            if down[x] & ~pos:
-                return False
-            rest &= rest - 1
-        return True
-
     def cover_pairs(self) -> Iterator[tuple[int, int]]:
         """Transitive reduction: (x, y) with x < y and nothing strictly between.
 

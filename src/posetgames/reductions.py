@@ -61,16 +61,6 @@ class PhiImage:
             raise ValueError(f"vertex {v} out of range")
         return self.num_edges + v
 
-    def gamma(self, c_index: int) -> int:
-        """Map a C-element (an edge) to its A-level copy."""
-        offset = self.num_edges + self.source.n
-        if not offset <= c_index < self.poset.m:
-            raise ValueError(f"index {c_index} is not in level C")
-        return c_index - offset
-
-    def a_elements(self) -> range:
-        return range(self.num_edges)
-
     def b_elements(self) -> range:
         return range(self.num_edges, self.num_edges + self.source.n)
 

@@ -91,15 +91,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"search budget exhausted after {states} visited states")
 
 
-def mex(values) -> int:
-    """Smallest non-negative integer not in the collection."""
-    present = set(values)
-    g = 0
-    while g in present:
-        g += 1
-    return g
-
-
 @dataclass
 class TranspositionTable:
     """Position-mask keyed memo for one set of rules: win/loss outcomes in

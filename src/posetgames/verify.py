@@ -256,14 +256,6 @@ class BOnlyContext:
         self.b_mask = sum(1 << b for b in b_elements)
         self._positions = {0: self.game.initial()}
 
-    def position_after(self, chosen) -> int:
-        mask = 0
-        for v in chosen:
-            if not 0 <= v < len(self.cones):
-                raise ValueError(f"vertex {v} out of range")
-            mask |= 1 << v
-        return self._after(mask)
-
     def _after(self, chosen: int) -> int:
         """The position after picking the vertices in the mask ``chosen``."""
         pos = self._positions.get(chosen)
@@ -276,8 +268,9 @@ class BOnlyContext:
 
 # lemma -> (endpoints of e in the chosen set, the moves probed in turn, each
 # with its place in an ``edges`` entry, the value each probe's child must
-# have, fail detail).  Lemma 3 also checks that its probe leaves exactly one
-# vertex-level element.
+# have, fail detail).  With both endpoints of e picked, gamma(e) must win
+# (Lemma 2); with one, it must lose and leave exactly one vertex-level element
+# (Lemma 3); with neither, e and gamma(e) must both lose (Lemma 4).
 _LEMMAS = {
     "lemma2": (2, (("gamma(e)", 0),), GameValue.LOSS, "gamma({e}) not winning after chosen={chosen}"),
     "lemma3": (1, (("gamma(e)", 0),), GameValue.WIN, "gamma({e}) not losing after chosen={chosen}"),
@@ -314,39 +307,6 @@ def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e) -> CheckResult:
                 return detail.format(probe=probe, e=e, chosen=mask_to_sorted(chosen))
 
     return _verdict(stats, run, ctx.source)
-
-
-def _check_lemma_for_set(lemma: str, g: Graph, chosen, e, ctx: BOnlyContext | None,
-                         budget: int) -> CheckResult:
-    """``_check_lemma`` for the vertex set ``chosen``, checked to lie in the
-    padded graph, and the edge e in either orientation, on ``ctx`` or a
-    fresh context for g."""
-    ctx = ctx or BOnlyContext(g, budget)
-    bad = [w for w in chosen if not 0 <= w < ctx.padded.n]
-    if bad:
-        raise ValueError(f"chosen vertices {bad} out of range")
-    return _check_lemma(lemma, ctx, sum({1 << w for w in chosen}), (min(e), max(e)))
-
-
-def check_lemma2(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
-                 budget: int = DEFAULT_BUDGET) -> CheckResult:
-    """With both endpoints of e already picked, the low copy of e must be a
-    winning move."""
-    return _check_lemma_for_set("lemma2", g, chosen, e, ctx, budget)
-
-
-def check_lemma3(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
-                 budget: int = DEFAULT_BUDGET) -> CheckResult:
-    """With exactly one endpoint picked, the low copy of e must be a losing
-    move, and playing it must strand exactly one vertex-level element."""
-    return _check_lemma_for_set("lemma3", g, chosen, e, ctx, budget)
-
-
-def check_lemma4(g: Graph, chosen, e, ctx: BOnlyContext | None = None,
-                 budget: int = DEFAULT_BUDGET) -> CheckResult:
-    """With neither endpoint picked, both e and its low copy must be losing
-    moves."""
-    return _check_lemma_for_set("lemma4", g, chosen, e, ctx, budget)
 
 
 # ---------------------------------------------------------------------------

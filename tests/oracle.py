@@ -43,6 +43,11 @@ def naive_setgame_grundy(sets, surviving=None):
     return naive_mex(seen)
 
 
+def is_down_set(poset, pos):
+    """Whether the position mask holds everything below each of its elements."""
+    return all(not poset.down[x] & ~pos for x in range(poset.m) if pos >> x & 1)
+
+
 def naive_closure(m, pairs):
     """Reachability rows as bitmasks: bit y of row x iff y is reachable from x
     (x itself included), found by relaxing over the pairs until nothing changes."""

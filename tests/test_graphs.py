@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 from posetgames import (
     FormatError,
     Graph,
+    KaylesGame,
     SetGame,
-    closed_neighborhood,
     complete_graph,
-    connected_components,
     disjoint_union,
     enumerate_labeled_graphs,
     format_graph,
@@ -19,6 +18,12 @@ from posetgames import (
     parse_setgame,
 )
 from posetgames.graphs import mask_to_sorted
+
+
+def components(g):
+    """g's connected components as vertex lists, ordered by lowest vertex."""
+    game = KaylesGame(g)
+    return [mask_to_sorted(part) for part in game.components(game.initial())]
 
 
 def small_graphs(max_n=4):
@@ -58,14 +63,14 @@ class TestCompleteGraph:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_min_degree(self, k):
         g = complete_graph(k)
-        assert min(g.degree(v) for v in range(k)) == k - 1
+        assert min(sum(v in e for e in g.edges) for v in range(k)) == k - 1
 
 
 class TestDisjointUnion:
     def test_two_k2(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
         assert g.n == 4 and len(g.edges) == 2
-        assert len(connected_components(g)) == 2
+        assert len(components(g)) == 2
 
     def test_empty_identity(self):
         empty = Graph.of(0)
@@ -83,7 +88,7 @@ class TestDisjointUnion:
         assert left.n == right.n
         assert len(left.edges) == len(right.edges)
         key = lambda comps: sorted(len(comp) for comp in comps)
-        assert key(connected_components(left)) == key(connected_components(right))
+        assert key(components(left)) == key(components(right))
 
 
 class TestEnumeration:
@@ -126,11 +131,10 @@ class TestEnumeration:
 class TestAdjacency:
     @given(small_graphs(6))
     def test_masks_match_edges(self, g):
+        kill = KaylesGame(g).kill
         for v in range(g.n):
-            expected = {u for u in range(g.n) if g.has_edge(u, v)}
-            assert g.neighbors(v) == expected
-            assert g.degree(v) == len(expected)
-            assert g.adjacency[v] == sum(1 << u for u in expected)
+            expected = {v} | {u for e in g.edges if v in e for u in e}
+            assert kill[v] == sum(1 << u for u in expected)
         # naive components: merge the two endpoints' sets for every edge
         label = {v: {v} for v in range(g.n)}
         for u, v in g.edges:
@@ -139,35 +143,26 @@ class TestAdjacency:
                 for w in merged:
                     label[w] = merged
         naive = sorted({min(c): c for c in label.values()}.items())
-        assert connected_components(g) == [c for _, c in naive]
+        assert components(g) == [sorted(c) for _, c in naive]
 
     def test_path_components(self):
         g = Graph.of(6, [(0, 3), (3, 5), (1, 2)])
-        assert connected_components(g) == [{0, 3, 5}, {1, 2}, {4}]
-
-    @pytest.mark.parametrize("v", [-1, 2])
-    def test_out_of_range(self, v):
-        with pytest.raises(ValueError, match="out of range"):
-            complete_graph(2).neighbors(v)
-        with pytest.raises(ValueError, match="out of range"):
-            complete_graph(2).degree(v)
+        assert components(g) == [[0, 3, 5], [1, 2], [4]]
 
 
 class TestClosedNeighborhood:
+    """A Kayles move at v removes v and its neighbours."""
+
     def test_k2(self):
-        assert closed_neighborhood(complete_graph(2), 0) == {0, 1}
+        assert KaylesGame(complete_graph(2)).kill[0] == 0b11
 
     def test_path_center(self):
         p3 = Graph.of(3, [(0, 1), (1, 2)])
-        assert closed_neighborhood(p3, 1) == {0, 1, 2}
+        assert KaylesGame(p3).kill[1] == 0b111
 
     def test_isolated(self):
         g = Graph.of(3, [(0, 1)])
-        assert closed_neighborhood(g, 2) == {2}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            closed_neighborhood(complete_graph(2), 2)
+        assert KaylesGame(g).kill[2] == 0b100
 
 
 class TestFormat:

@@ -27,7 +27,6 @@ from posetgames import (
     disjoint_union,
     enumerate_labeled_graphs,
     grundy,
-    mex,
     phi,
     poset_to_setgame,
     psi,
@@ -37,28 +36,11 @@ from posetgames import (
 from posetgames import games, posets, solver
 from posetgames.posets import mask_to_sorted
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
-from oracle import naive_kayles_grundy, naive_poset_grundy, naive_setgame_grundy
+from oracle import is_down_set, naive_kayles_grundy, naive_mex, naive_poset_grundy, naive_setgame_grundy
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 K2K2 = disjoint_union(complete_graph(2), complete_graph(2))
 C8 = Graph.of(8, [(i, i + 1) for i in range(7)] + [(0, 7)])
-
-
-class TestMex:
-    def test_empty(self):
-        assert mex(()) == 0
-
-    def test_initial_segment(self):
-        assert mex({0, 1, 2}) == 3
-
-    def test_gap(self):
-        assert mex({1, 3}) == 0
-
-    @given(st.sets(st.integers(0, 50)))
-    def test_definition(self, values):
-        m = mex(values)
-        assert m not in values
-        assert all(v in values for v in range(m))
 
 
 class TestSolveWinner:
@@ -156,7 +138,7 @@ def dawson(n):
     """Node Kayles on P_n: picking vertex i leaves P_(i-1) and P_(n-i-2)."""
     g = [0] * (n + 1)
     for k in range(1, n + 1):
-        g[k] = mex({g[max(i - 1, 0)] ^ g[max(k - i - 2, 0)] for i in range(k)})
+        g[k] = naive_mex({g[max(i - 1, 0)] ^ g[max(k - i - 2, 0)] for i in range(k)})
     return g[n]
 
 
@@ -339,7 +321,7 @@ class TestAntichains:
             p = random_poset(m, density, DEFAULT_SEED * 7_919 + i)
             game = PosetGame(p)
             for pos in range(1 << m):
-                if p.is_down_set(pos):
+                if is_down_set(p, pos):
                     antichains += game.antichain_win(pos) is not None
                     want = naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
                     assert solve_winner(game, pos) is outcome(want), f"{pos:b} in {p.up}"

@@ -25,12 +25,10 @@ from posetgames.verify import (
     DEFAULT_SEED,
     SUITES,
     SuiteConfig,
+    _check_lemma,
     _run_unit,
     _units,
     check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_lemma4,
     check_psi_properties,
     check_setgame_equiv,
     check_theorem,
@@ -60,63 +58,43 @@ class TestLemma1Check:
 class TestLemma2Check:
     def test_k2_both_endpoints(self):
         ctx = BOnlyContext(K2)
-        res = check_lemma2(K2, {0, 1}, (0, 1), ctx=ctx)
+        res = _check_lemma("lemma2", ctx, 0b11, (0, 1))
         assert res.verdict == "pass"
         # after the winning reply only the other low edge copies remain
-        pos = ctx.position_after({0, 1})
-        after = ctx.game.apply(pos, ctx.edges[0, 1][0])
-        remaining = [x for x in ctx.image.a_elements() if after >> x & 1]
+        after = ctx.game.apply(ctx._after(0b11), ctx.edges[0, 1][0])
+        remaining = [x for x in range(ctx.image.num_edges) if after >> x & 1]
         assert after.bit_count() == len(remaining) == 2
 
     def test_all_vertices_chosen(self):
         ctx = BOnlyContext(K2)
         for e in ctx.image.edge_order:
-            assert check_lemma2(K2, set(range(ctx.padded.n)), e, ctx=ctx).verdict == "pass"
+            assert _check_lemma("lemma2", ctx, (1 << ctx.padded.n) - 1, e).verdict == "pass"
 
     def test_missing_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            check_lemma2(K2, {0}, (0, 1))
-
-
-class TestVertexRange:
-    @pytest.mark.parametrize("v", [-1, 6])
-    def test_position_after(self, v):
-        ctx = BOnlyContext(K2)
-        assert ctx.padded.n == 6
-        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
-            ctx.position_after({v})
-
-    @pytest.mark.parametrize("check, endpoints", [
-        (check_lemma2, {0, 1}), (check_lemma3, {0}), (check_lemma4, set()),
-    ])
-    @pytest.mark.parametrize("v", [-1, 6])
-    def test_lemma_checks(self, check, endpoints, v):
-        with pytest.raises(ValueError, match=re.escape(f"chosen vertices [{v}] out of range")):
-            check(K2, endpoints | {v}, (0, 1), ctx=BOnlyContext(K2))
+        with pytest.raises(ValueError, match="lemma2 needs both endpoints"):
+            _check_lemma("lemma2", BOnlyContext(K2), 0b1, (0, 1))
 
 
 class TestLemma3Check:
     def test_k2_one_endpoint(self):
-        ctx = BOnlyContext(K2)
-        res = check_lemma3(K2, {0}, (0, 1), ctx=ctx)
+        res = _check_lemma("lemma3", BOnlyContext(K2), 0b1, (0, 1))
         assert res.verdict == "pass"
 
     def test_k3_each_incident_edge(self):
         g = complete_graph(3)
         ctx = BOnlyContext(g)
         for e in ((0, 1), (0, 2)):
-            assert check_lemma3(g, {0}, e, ctx=ctx).verdict == "pass"
+            assert _check_lemma("lemma3", ctx, 0b1, e).verdict == "pass"
 
     def test_both_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            check_lemma3(K2, {0, 1}, (0, 1))
+        with pytest.raises(ValueError, match="lemma3 needs exactly one endpoint"):
+            _check_lemma("lemma3", BOnlyContext(K2), 0b11, (0, 1))
 
     def test_winning_gamma_fails(self):
         # a table that calls the child lost makes gamma(e) a winning move
         ctx = BOnlyContext(K2)
-        pos = ctx.position_after({0})
-        ctx.table.wins[ctx.game.apply(pos, ctx.edges[0, 1][0])] = False
-        res = check_lemma3(K2, {0}, (0, 1), ctx=ctx)
+        ctx.table.wins[ctx.game.apply(ctx._after(0b1), ctx.edges[0, 1][0])] = False
+        res = _check_lemma("lemma3", ctx, 0b1, (0, 1))
         assert res.verdict == "fail"
         assert res.detail == f"gamma((0, 1)) not losing after chosen=[0] on\n{format_graph(K2)}"
 
@@ -126,23 +104,28 @@ class TestLemma4Check:
         ctx = BOnlyContext(K2)
         assert len(ctx.image.edge_order) == 3
         for e in ctx.image.edge_order:
-            assert check_lemma4(K2, set(), e, ctx=ctx).verdict == "pass"
+            assert _check_lemma("lemma4", ctx, 0, e).verdict == "pass"
 
     def test_k3_inner_edge(self):
         g = complete_graph(3)
-        assert check_lemma4(g, set(), (0, 1)).verdict == "pass"
+        assert _check_lemma("lemma4", BOnlyContext(g), 0, (0, 1)).verdict == "pass"
 
     def test_removed_edge_rejected(self):
         with pytest.raises(ValueError):
-            check_lemma4(K2, {0}, (0, 1))
+            _check_lemma("lemma4", BOnlyContext(K2), 0b1, (0, 1))
+
+    @pytest.mark.parametrize("e", [(0, 2), (1, 0)])
+    def test_unknown_edge_rejected(self, e):
+        # psi(K2) adds the edges (2, 3) and (4, 5); edges are given low end first
+        with pytest.raises(ValueError, match=re.escape(f"{e} is not an edge of the padded graph")):
+            _check_lemma("lemma4", BOnlyContext(K2), 0, e)
 
     def test_winning_gamma_fails(self):
         # e itself is still losing; a table that calls gamma(e)'s child lost
         # makes the second probe fail
         ctx = BOnlyContext(K2)
-        pos = ctx.position_after(set())
-        ctx.table.wins[ctx.game.apply(pos, ctx.edges[0, 1][0])] = False
-        res = check_lemma4(K2, set(), (0, 1), ctx=ctx)
+        ctx.table.wins[ctx.game.apply(ctx._after(0), ctx.edges[0, 1][0])] = False
+        res = _check_lemma("lemma4", ctx, 0, (0, 1))
         assert res.verdict == "fail"
         assert res.detail == f"gamma(e) for (0, 1) not losing, chosen=[] on\n{format_graph(K2)}"
 
@@ -150,11 +133,9 @@ class TestLemma4Check:
 class TestRunUnitAgainstFreshContext:
     """``_run_unit`` runs a unit's lemma cases as vertex masks on one context,
     with a cached position per mask and one table.  Each case must see the
-    position built from scratch and get the verdict of a check on a fresh
-    context; the exhaustive cases must be the (set, edge) pairs counted
-    directly."""
-
-    CHECKS = {"lemma2": check_lemma2, "lemma3": check_lemma3, "lemma4": check_lemma4}
+    position built directly from its picks and get the verdict of
+    ``_check_lemma`` on a fresh context; the exhaustive cases must be the
+    (set, edge) pairs counted directly."""
 
     @pytest.mark.parametrize("lemma", ["lemma2", "lemma3", "lemma4"])
     def test_cases_match(self, lemma, monkeypatch):
@@ -190,7 +171,7 @@ class TestRunUnitAgainstFreshContext:
                 for v in vertices:
                     cones |= image.poset.up[image.b_of_vertex(v)]
                 assert pos == (1 << image.poset.m) - 1 & ~cones
-                fresh = self.CHECKS[lemma](g, vertices, e)
+                fresh = _check_lemma(lemma, BOnlyContext(g), chosen, e)
                 assert (r.verdict, r.detail) == (fresh.verdict, fresh.detail) == ("pass", "")
         assert next(cases, None) is None
 
