@@ -26,7 +26,7 @@ from functools import cached_property, partial, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .graphs import FormatError, Graph, mask_to_sorted
+from .graphs import FormatError, Graph, _read, mask_to_sorted
 from .posets import Poset, transpose
 
 
@@ -36,6 +36,8 @@ class MaskGame:
     _poset = False  # whether move x removes the upper cone of x in a poset
 
     def __init__(self, size: int, legal: Sequence[int], kill: Sequence[int], noun: str):
+        if size < 0:
+            raise ValueError("game size must be non-negative")
         self.size = size
         self.legal = tuple(legal)
         self.kill = tuple(kill)
@@ -264,6 +266,8 @@ class SetGame:
     masks: tuple[int, ...]
 
     def __init__(self, universe: int, sets: Iterable[Iterable[int]]):
+        if universe < 0:
+            raise ValueError("universe size must be non-negative")
         masks = []
         for i, s in enumerate(sets):
             mask = 0
@@ -298,45 +302,28 @@ def SetGameRules(game: SetGame) -> MaskGame:
 
 
 def parse_setgame(text: str) -> SetGame:
-    """Parse the set-game format: "k u" then one line of element ids per set."""
-    header = None
-    rows: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
+    """Parse the set-game format: header "k u", then one line of element ids
+    per set; a blank line is an empty set."""
+    (k, u), rows = _read(text, "set-game", "k u")
+    masks: list[int] = []
+    for lineno, tokens in rows:
+        if len(masks) == k:
+            if tokens:
+                raise FormatError(f"more than {k} set lines", lineno)
             continue
-        if header is None:
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"expected 'k u' header, got {line!r}", lineno)
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise FormatError(f"non-integer header in {line!r}", lineno)
-            if header[0] < 0 or header[1] < 0:
-                raise FormatError("set count and universe must be non-negative", lineno)
-            continue
-        if len(rows) >= header[0]:
-            if line:
-                raise FormatError(f"more than {header[0]} set lines", lineno)
-            continue
-        try:
-            elems = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FormatError(f"non-integer element in {line!r}", lineno)
         mask = 0
-        for e in elems:
-            if not 0 <= e < header[1]:
-                raise FormatError(f"element {e} outside universe {header[1]}", lineno)
+        for tok in tokens:
+            try:
+                e = int(tok)
+            except ValueError:
+                raise FormatError(f"non-integer element {tok!r}", lineno)
+            if not 0 <= e < u:
+                raise FormatError(f"element {e} outside universe {u}", lineno)
             mask |= 1 << e
-        rows.append(mask)
-    if header is None:
-        raise FormatError("empty set-game file")
-    if len(rows) != header[0]:
-        raise FormatError(f"expected {header[0]} set lines, found {len(rows)}")
-    return SetGame._unchecked(header[1], rows)
+        masks.append(mask)
+    if len(masks) != k:
+        raise FormatError(f"expected {k} set lines, found {len(masks)}")
+    return SetGame._unchecked(u, masks)
 
 
 def format_setgame(s: SetGame) -> str:

@@ -19,6 +19,36 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+def _read(text: str, kind: str, header: str) -> tuple[list[int], Iterator[tuple[int, list[str]]]]:
+    """Split a graph, poset or set-game text into its header and its rows.
+
+    The three formats share this grammar: a line whose first non-blank
+    character is '#' is a comment, anywhere in the file; blank lines before
+    the header are skipped; the header is one non-negative integer per word
+    of ``header``.  Returns the header's integers and an iterator of
+    ``(line number, tokens)`` over the later lines that are not comments,
+    with lines counted from 1; a blank line has no tokens.  Each format
+    converts the tokens of its own rows.
+    """
+    rows = (
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if not tokens or tokens[0][0] != "#"
+    )
+    for lineno, tokens in rows:
+        if tokens:
+            break
+    else:
+        raise FormatError(f"empty {kind} file")
+    try:
+        values = [int(tok) for tok in tokens]
+        if len(values) != len(header.split()) or min(values) < 0:
+            raise ValueError
+    except ValueError:
+        raise FormatError(f"expected {header!r} as non-negative integers, got {' '.join(tokens)!r}", lineno)
+    return values, rows
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; vertices are 0..n-1, edges are (u, v) with u < v."""
@@ -84,6 +114,8 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     every subset of the low and of the high half of the edges is built once,
     so each graph's edges are one union of a high and a low subset.
     """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     pairs = list(combinations(range(n), 2))  # already in lexicographic order
@@ -103,39 +135,25 @@ def _subsets(items: list) -> list[frozenset]:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the graph text format: first line n, then "u v" edge lines.
+    """Parse the graph text format: header n, then "u v" edge lines.
 
-    Lines whose first non-blank character is '#' are comments; duplicate or
-    out-of-range edges are errors.
+    Duplicate or out-of-range edges are errors.
     """
-    n = None
+    (n,), rows = _read(text, "graph", "n")
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, tokens in rows:
+        if not tokens:
             continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise FormatError(f"expected vertex count, got {line!r}", lineno)
-            if n < 0:
-                raise FormatError("vertex count must be non-negative", lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = tokens
+            u, v = int(u), int(v)
         except ValueError:
-            raise FormatError(f"non-integer endpoint in {line!r}", lineno)
+            raise FormatError(f"expected 'u v', got {' '.join(tokens)!r}", lineno)
         if not 0 <= u < v < n:
             raise FormatError(f"edge ({u}, {v}) violates 0 <= u < v < {n}", lineno)
         if (u, v) in edges:
             raise FormatError(f"duplicate edge ({u}, {v})", lineno)
         edges.add((u, v))
-    if n is None:
-        raise FormatError("empty graph file")
     return Graph(n, frozenset(edges))
 
 

@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import FormatError, mask_to_sorted
+from .graphs import FormatError, _read, mask_to_sorted
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,11 @@ class Violation:
 def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
     """Check a raw m x m relation (row bitmasks) against the order axioms.
 
-    Raises ValueError when ``rows`` cannot be an m x m relation: fewer than
-    m rows, or a row with a bit at or above m.
+    Raises ValueError when ``rows`` cannot be an m x m relation: a negative
+    m, fewer than m rows, or a row with a bit at or above m.
     """
+    if m < 0:
+        raise ValueError("element count must be non-negative")
     if len(rows) < m:
         raise ValueError(f"relation has {len(rows)} rows, expected {m}")
     for x in range(m):
@@ -120,10 +122,12 @@ class Poset:
         is its own bit OR the cones of its direct successors, each finished
         first; a successor already inside the cone built so far is skipped.
         The search keeps its path on an explicit stack, so long chains do
-        not recurse.  Raises ValueError for a pair out of range, or when a
-        successor is still on the stack, naming that pair as a cycle
-        (antisymmetry failure).
+        not recurse.  Raises ValueError for a negative m, a pair out of
+        range, or when a successor is still on the stack, naming that pair
+        as a cycle (antisymmetry failure).
         """
+        if m < 0:
+            raise ValueError("element count must be non-negative")
         succ = [0] * m
         for x, y in pairs:
             if not (0 <= x < m and 0 <= y < m):
@@ -264,40 +268,25 @@ def to_dot(p: Poset) -> str:
 
 
 def parse_poset(text: str) -> Poset:
-    """Parse the poset text format: first line m, then "x y" meaning x <= y.
+    """Parse the poset text format: header m, then "x y" meaning x <= y.
 
     The listed pairs may be any sub-relation; the loader takes the
     reflexive-transitive closure and rejects cycles.
     """
-    m = None
+    (m,), rows = _read(text, "poset", "m")
     lows, highs = array("q"), array("q")  # the pairs, without a tuple each
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, tokens in rows:
+        if not tokens:
             continue
-        if m is None:
-            try:
-                m = int(line)
-            except ValueError:
-                raise FormatError(f"expected element count, got {line!r}", lineno)
-            if m < 0:
-                raise FormatError("element count must be non-negative", lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'x y', got {line!r}", lineno)
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = tokens
+            x, y = int(x), int(y)
         except ValueError:
-            raise FormatError(f"non-integer element in {line!r}", lineno)
-        if x == y:
-            raise FormatError(f"pair ({x}, {y}) must relate distinct elements", lineno)
-        if not (0 <= x < m and 0 <= y < m):
-            raise FormatError(f"pair ({x}, {y}) out of range for m={m}", lineno)
+            raise FormatError(f"expected 'x y', got {' '.join(tokens)!r}", lineno)
+        if x == y or not (0 <= x < m and 0 <= y < m):
+            raise FormatError(f"pair ({x}, {y}) must relate distinct elements below {m}", lineno)
         lows.append(x)
         highs.append(y)
-    if m is None:
-        raise FormatError("empty poset file")
     try:
         return Poset.from_pairs(m, zip(lows, highs))
     except ValueError as exc:

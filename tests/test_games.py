@@ -114,6 +114,10 @@ class TestSetGame:
         with pytest.raises(ValueError):
             SetGame(2, (frozenset({5}),))
 
+    def test_negative_universe_rejected(self):
+        with pytest.raises(ValueError, match="universe size must be non-negative"):
+            SetGame(-1, [])
+
     def test_survivor_characterization(self):
         # element survives iff no chosen set contained it
         sets = (frozenset({0, 1}), frozenset({1, 2}), frozenset({3}))
@@ -123,6 +127,11 @@ class TestSetGame:
             pos = rules.apply(pos, pick)
         union = set().union(*(sets[i] for i in (1, 2)))
         assert set(mask_to_sorted(pos)) == set(range(4)) - union
+
+
+def test_mask_game_negative_size_rejected():
+    with pytest.raises(ValueError, match="game size must be non-negative"):
+        MaskGame(-2, [], [], "x")
 
 
 @st.composite

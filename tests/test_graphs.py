@@ -106,6 +106,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(enumerate_labeled_graphs(7))
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            next(enumerate_labeled_graphs(-1))
+
     def test_roundtrip_through_text(self):
         for g in enumerate_labeled_graphs(4):
             assert parse_graph(format_graph(g)) == g
@@ -177,6 +181,40 @@ class TestFormat:
         assert parse(text) == expected
         with pytest.raises(FormatError, match="line 3"):
             parse(text.replace("\n0 1\n", "\n0 1  # edge\n"))
+
+    # each format once: a valid text, and a row its own rule rejects
+    FORMATS = [
+        pytest.param(parse_graph, "3\n0 1\n1 2\n", "2 1", id="graph"),
+        pytest.param(parse_poset, "3\n0 1\n1 2\n", "1 1", id="poset"),
+        pytest.param(parse_setgame, "2 3\n0 1\n2\n", "0 3", id="setgame"),
+    ]
+
+    @pytest.mark.parametrize("parse, text, bad_row", FORMATS)
+    def test_blank_and_comment_lines_before_header(self, parse, text, bad_row):
+        assert parse("\n  \n# a comment\n\t\n" + text) == parse(text)
+
+    @pytest.mark.parametrize("parse, header", [
+        (parse_graph, "three"), (parse_graph, "-3"), (parse_graph, "3 0"),
+        (parse_poset, "3.0"), (parse_poset, "-1"), (parse_poset, "3 3"),
+        (parse_setgame, "2 u"), (parse_setgame, "2 -3"), (parse_setgame, "2"), (parse_setgame, "2 3 0"),
+    ])
+    def test_bad_header(self, parse, header):
+        with pytest.raises(FormatError, match="line 3"):
+            parse(f"# a comment\n\n{header}\n")
+
+    @pytest.mark.parametrize("parse", [parse_graph, parse_poset, parse_setgame])
+    @pytest.mark.parametrize("empty", ["", "\n\n", "# nothing\n  # more\n\n"])
+    def test_comment_only_file(self, parse, empty):
+        with pytest.raises(FormatError, match="empty") as info:
+            parse(empty)
+        assert info.value.line is None
+
+    @pytest.mark.parametrize("parse, text, bad_row", FORMATS)
+    def test_bad_row_names_its_line(self, parse, text, bad_row):
+        rows = text.splitlines()
+        with pytest.raises(FormatError, match=f"line {len(rows) + 1}:") as info:
+            parse("\n".join(rows[:-1] + ["# a comment", bad_row]) + "\n")
+        assert info.value.line == len(rows) + 1
 
     def test_comments_and_blanks(self):
         g = parse_graph("# a triangle\n3\n\n0 1\n1 2\n# done\n0 2\n")

@@ -55,6 +55,10 @@ class TestValidate:
         with pytest.raises(ValueError, match="rows"):
             validate_relation(3, [0b1, 0b10])
 
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError, match="element count must be non-negative"):
+            Poset(-1, [])
+
 
 class TestUpperCone:
     def test_maximal_element(self):
@@ -197,6 +201,16 @@ class TestClosure:
     def test_out_of_range_pair(self):
         with pytest.raises(ValueError, match="out of range"):
             Poset.from_pairs(2, [(0, 2)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Poset.from_pairs(-1, ()),
+        lambda: chain(-1),
+        lambda: antichain(-1),
+        lambda: random_poset(-1, 0.5, 0),
+    ], ids=["from_pairs", "chain", "antichain", "random_poset"])
+    def test_negative_m_rejected(self, build):
+        with pytest.raises(ValueError, match="element count must be non-negative"):
+            build()
 
     def test_deep_chain_bottom_first(self):
         p = Poset.from_pairs(self.M, [(i, i + 1) for i in range(self.M - 1)])
