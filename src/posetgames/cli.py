@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import traceback
-from pathlib import Path
 
 from .games import (
     KaylesGame,
@@ -35,8 +33,13 @@ from .solver import (
 from .suites import DEFAULT_BUDGET, DEFAULT_SEED, SUITES
 
 
+def _read_file(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _load_game(path: str, game: str):
-    text = Path(path).read_text()
+    text = _read_file(path)
     if game == "kayles":
         return KaylesGame(parse_graph(text))
     if game == "poset":
@@ -50,7 +53,8 @@ def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
 
 
 def cmd_solve(args) -> int:
@@ -78,7 +82,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    text = Path(args.input).read_text()
+    text = _read_file(args.input)
     if args.src == "kayles" and args.dst == "poset":
         image = reduce_kayles_to_poset(parse_graph(text))
         _write(args.out, format_poset(image.poset))
@@ -119,7 +123,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    poset = parse_poset(Path(args.input).read_text())
+    poset = parse_poset(_read_file(args.input))
     _write(args.out, to_dot(poset))
     return 0
 
@@ -222,6 +226,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault in the program: exit 1 would read as "second"
+        import traceback  # only a failing run pays for it
+
         traceback.print_exc()
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -21,12 +21,11 @@ elements that share a set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property, partial, reduce
 from operator import or_
-from typing import Iterable, Sequence
 
-from .graphs import FormatError, Graph, _read, mask_to_sorted
+from .graphs import FormatError, Graph, _read, _Record, mask_to_sorted
 from .posets import Poset, transpose
 
 
@@ -257,11 +256,11 @@ def PosetGame(poset: Poset) -> MaskGame:
     return game
 
 
-@dataclass(frozen=True, init=False)
-class SetGame:
+class SetGame(_Record):
     """A collection of subsets S_1..S_k over ground elements 0..universe-1,
     each held as the mask of its elements."""
 
+    __slots__ = ("universe", "masks")
     universe: int
     masks: tuple[int, ...]
 

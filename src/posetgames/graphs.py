@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from collections.abc import Iterable, Iterator
 from itertools import combinations, compress
-from typing import Iterable, Iterator
 
 ENUMERATION_CAP = 6
 
@@ -25,7 +25,8 @@ def _read(text: str, kind: str, header: str) -> tuple[list[int], Iterator[tuple[
     The three formats share this grammar: a line whose first non-blank
     character is '#' is a comment, anywhere in the file; blank lines before
     the header are skipped; the header is one non-negative integer per word
-    of ``header``.  Returns the header's integers and an iterator of
+    of ``header``, at most ``sys.maxsize``, since no list holds more entries
+    than that.  Returns the header's integers and an iterator of
     ``(line number, tokens)`` over the later lines that are not comments,
     with lines counted from 1; a blank line has no tokens.  Each format
     converts the tokens of its own rows.
@@ -46,25 +47,73 @@ def _read(text: str, kind: str, header: str) -> tuple[list[int], Iterator[tuple[
             raise ValueError
     except ValueError:
         raise FormatError(f"expected {header!r} as non-negative integers, got {' '.join(tokens)!r}", lineno)
+    if max(values) > sys.maxsize:
+        raise FormatError(f"header value {max(values)} exceeds the largest size, {sys.maxsize}", lineno)
     return values, rows
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """An immutable value whose fields are its ``__slots__``.
+
+    Equality, hash and repr are those of the tuple of fields, as for a frozen
+    dataclass, without the code generation that a dataclass compiles at
+    import.  Assignment raises AttributeError; constructors set the fields
+    with ``object.__setattr__``, and pickling rebuilds a record from its
+    fields without calling ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, self._fields())
+
+
+def _rebuild(cls, fields):
+    """The record of class ``cls`` with these field values, unchecked."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(self, name, value)
+    return self
+
+
+class Graph(_Record):
     """Simple undirected graph; vertices are 0..n-1, edges are (u, v) with u < v."""
 
+    __slots__ = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for u, v in self.edges:
+        for u, v in edges:
             if not 0 <= u < v < n:
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def _unchecked(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":

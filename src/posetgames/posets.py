@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .graphs import FormatError, _read, mask_to_sorted
+from .graphs import FormatError, _read, _Record, mask_to_sorted
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """First order-axiom violation found, with witnessing indices."""
 
+    __slots__ = ("axiom", "witnesses")
     axiom: str  # "reflexive" | "antisymmetric" | "transitive"
     witnesses: tuple[int, ...]
+
+    def __init__(self, axiom: str, witnesses: tuple[int, ...]):
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "witnesses", witnesses)
 
     def __str__(self):
         return f"{self.axiom} violated at {self.witnesses}"

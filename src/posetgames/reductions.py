@@ -9,12 +9,11 @@ collection of its upper cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .games import SetGame
-from .graphs import Graph
+from .graphs import Graph, _Record
 from .posets import Poset
 
 Edge = tuple[int, int]
@@ -38,8 +37,7 @@ def _padding(n: int, k: int) -> frozenset[Edge]:
     return frozenset((u + n, v + n) for u, v in pad)
 
 
-@dataclass(frozen=True)
-class PhiImage:
+class PhiImage(_Record):
     """Three-level poset built from a graph, with its index bookkeeping.
 
     Levels, lowest to highest: A holds one copy per edge (the image of
@@ -48,9 +46,15 @@ class PhiImage:
     (edge order), so gamma is a fixed offset between the C and A blocks.
     """
 
+    __slots__ = ("poset", "source", "edge_order")
     poset: Poset
     source: Graph
     edge_order: tuple[Edge, ...]
+
+    def __init__(self, poset: Poset, source: Graph, edge_order: tuple[Edge, ...]):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "edge_order", edge_order)
 
     @property
     def num_edges(self) -> int:

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
 
 
 class GameValue(enum.Enum):
@@ -91,23 +90,22 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"search budget exhausted after {states} visited states")
 
 
-@dataclass
 class TranspositionTable:
     """Position-mask keyed memo for one set of rules: win/loss outcomes in
     ``wins``, Grundy values in ``values``.  The first solve binds the table
     to its game's rules (size, legal and kill masks); a solve of other rules
     on it raises ValueError, since its entries would be wrong there."""
 
-    wins: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
-    hits: int = 0
-    rules: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self):
+        self.wins: dict[int, bool] = {}
+        self.values: dict[int, int] = {}
+        self.hits = 0
+        self.rules: tuple | None = None
 
     def __len__(self):
         return len(self.wins) + len(self.values)
 
 
-@dataclass
 class SearchStats:
     """Counters of a solve.  ``states`` counts the positions searched move by
     move.  A split position is not one of them: it is the XOR of its parts,
@@ -115,8 +113,9 @@ class SearchStats:
     win/loss search only its root.  A solve that would count more than
     ``budget`` states raises ``BudgetExceeded``."""
 
-    states: int = 0
-    budget: int | None = None
+    def __init__(self, states: int = 0, budget: int | None = None):
+        self.states = states
+        self.budget = budget
 
 
 def _position(game, pos):

@@ -71,6 +71,23 @@ class TestWinner:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1] == "error: internal RuntimeError: boom"
 
+    def test_internal_failure_prints_traceback(self, antichain3_file, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_solve", boom)
+        assert main(["winner", "--game", "poset", antichain3_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert 'raise RuntimeError("boom")' in err
+
+    def test_header_past_maxsize_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.poset"
+        path.write_text("10000000000000000000\n0 9223372036854775808\n")
+        assert main(["winner", "--game", "poset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "Traceback" not in err
+
     def test_budget_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         path.write_text(format_graph(complete_graph(4)))
@@ -257,3 +274,14 @@ class TestStartup:
         code = "import sys, posetgames.cli; print('posetgames.verify' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_import_loads_no_dataclass_machinery(self):
+        # the CLI's records are slotted classes and its traceback is imported on failure only;
+        # -S keeps site's .pth preloads from hiding typing and pathlib
+        env = dict(os.environ, PYTHONPATH=str(Path(posetgames.__file__).parent.parent))
+        code = (
+            "import sys, posetgames.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'traceback', 'typing', 'pathlib') if m in sys.modules])"
+        )
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
+import pickle
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -9,6 +11,7 @@ from posetgames import (
     Graph,
     KaylesGame,
     SetGame,
+    Violation,
     complete_graph,
     disjoint_union,
     enumerate_labeled_graphs,
@@ -16,6 +19,7 @@ from posetgames import (
     parse_graph,
     parse_poset,
     parse_setgame,
+    phi,
 )
 from posetgames.graphs import mask_to_sorted
 
@@ -216,6 +220,21 @@ class TestFormat:
             parse("\n".join(rows[:-1] + ["# a comment", bad_row]) + "\n")
         assert info.value.line == len(rows) + 1
 
+    @pytest.mark.parametrize("parse, text", [
+        pytest.param(parse_graph, "10000000000000000000\n0 9223372036854775808\n", id="graph"),
+        pytest.param(parse_poset, "10000000000000000000\n0 9223372036854775808\n", id="poset"),
+        pytest.param(parse_setgame, "1 10000000000000000000\n9223372036854775808\n", id="setgame"),
+    ])
+    def test_header_past_maxsize(self, parse, text):
+        # no list has more than sys.maxsize entries, so no header may ask for more
+        with pytest.raises(FormatError, match="line 1:") as info:
+            parse(text)
+        assert info.value.line == 1
+
+    def test_header_at_maxsize(self):
+        assert parse_graph(f"{sys.maxsize}\n0 {sys.maxsize - 1}\n").n == sys.maxsize
+        assert parse_setgame(f"0 {sys.maxsize}\n").universe == sys.maxsize
+
     def test_comments_and_blanks(self):
         g = parse_graph("# a triangle\n3\n\n0 1\n1 2\n# done\n0 2\n")
         assert g == complete_graph(3)
@@ -245,6 +264,73 @@ class TestGraphInvariants:
     def test_endpoint_range(self):
         with pytest.raises(ValueError):
             Graph(2, frozenset({(0, 2)}))
+
+
+# each immutable record: a value, an equal one built apart, a different one, and its repr
+RECORDS = [
+    pytest.param(
+        lambda: Graph.of(2, [(1, 0)]), lambda: Graph(2, frozenset({(0, 1)})), lambda: Graph(2, frozenset()),
+        "Graph(n=2, edges=frozenset({(0, 1)}))", id="Graph",
+    ),
+    pytest.param(
+        lambda: SetGame(3, [{0, 1}, {2}]), lambda: parse_setgame("2 3\n0 1\n2\n"), lambda: SetGame(3, [{2}, {0, 1}]),
+        "SetGame(universe=3, masks=(3, 4))", id="SetGame",
+    ),
+    pytest.param(
+        lambda: Violation("transitive", (0, 1, 2)), lambda: Violation("transitive", (0, 1, 2)),
+        lambda: Violation("reflexive", (0, 1, 2)),
+        "Violation(axiom='transitive', witnesses=(0, 1, 2))", id="Violation",
+    ),
+    pytest.param(
+        lambda: phi(complete_graph(2)), lambda: phi(Graph.of(2, [(0, 1)])), lambda: phi(complete_graph(3)),
+        "PhiImage(poset=Poset(m=4), source=Graph(n=2, edges=frozenset({(0, 1)})), edge_order=((0, 1),))",
+        id="PhiImage",
+    ),
+]
+
+
+class TestRecords:
+    """Graph, SetGame, Violation and PhiImage are values: equal by their
+    fields, hashable, immutable, and they survive pickling (``verify --jobs``
+    sends graphs to its workers)."""
+
+    @pytest.mark.parametrize("make, same, other, text", RECORDS)
+    def test_equality_and_hash(self, make, same, other, text):
+        a, b, c = make(), same(), other()
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != c and not a == c
+        assert a != text
+        assert len({a, b, c}) == 2
+
+    @pytest.mark.parametrize("make, same, other, text", RECORDS)
+    def test_repr(self, make, same, other, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("make, same, other, text", RECORDS)
+    def test_assignment_refused(self, make, same, other, text):
+        a = make()
+        field = text[text.index("(") + 1:text.index("=")]
+        before = getattr(a, field)
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert getattr(a, field) is before and a == same()
+
+    @pytest.mark.parametrize("protocol", [2, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+    @pytest.mark.parametrize("make, same, other, text", RECORDS)
+    def test_pickle_round_trip(self, make, same, other, text, protocol):
+        a = make()
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert type(b) is type(a) and b == a and hash(b) == hash(a) and repr(b) == text
+        with pytest.raises(AttributeError):
+            setattr(b, text[text.index("(") + 1:text.index("=")], None)
+
+    def test_violation_str(self):
+        assert str(Violation("reflexive", (4,))) == "reflexive violated at (4,)"
 
 
 def _seeded_mask(bits, density, seed):
