@@ -225,6 +225,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # bad input; FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # sizes the parser accepts can still be past any machine
+        print("error: the input needs more memory than is available", file=sys.stderr)
+        return 2
     except Exception as exc:  # a fault in the program: exit 1 would read as "second"
         import traceback  # only a failing run pays for it
 

@@ -33,6 +33,7 @@ class MaskGame:
     """Rules with one ``(legal, kill)`` mask pair per move index."""
 
     _poset = False  # whether move x removes the upper cone of x in a poset
+    _element_game = False  # whether move x is legal iff x is in the position, and kills x
 
     def __init__(self, size: int, legal: Sequence[int], kill: Sequence[int], noun: str):
         if size < 0:
@@ -85,7 +86,9 @@ class MaskGame:
         e says nothing once e is gone; in Kayles it would link the two ends
         of a path through a deleted middle vertex.  In an element game e is
         linked to what its move kills and to the moves that kill it.  The
-        tuple is built from a list, for the reason ``_element_game`` gives.
+        tuple is built from a list: a tuple built from an iterator is resized
+        as it grows, and once freed it stays on CPython's tuple free list,
+        about 0.2 MB over the ``lemma1`` suite.
         """
         if self._element_game:
             return tuple([*map(or_, self.kill, self._cols)])
@@ -100,28 +103,17 @@ class MaskGame:
         return tuple([*map(or_, links, transpose(self.size, links))])
 
     @cached_property
-    def _element_game(self) -> bool:
-        """Whether move x is legal iff x is in the position, and kills x.
-
-        The single-element masks are a list: a tuple built from a generator
-        is resized as it grows, and once freed it stays on CPython's tuple
-        free list, about 0.2 MB over the ``lemma1`` suite."""
-        singles = [1 << x for x in range(self.size)]
-        return self.legal == tuple(singles) and all(map(int.__and__, self.kill, singles))
-
-    @cached_property
     def antichain_win(self):
         """``antichain_win(p)``: whether p is won if p is an antichain, else
         None; built on first use.
 
         In an element game p is an antichain when no move legal in p kills
         another element of p.  It is then a sum of single elements, each *1,
-        so it is won iff it has an odd number of elements.  Other rules, and
-        set games even when their masks are an element game's, get a
-        function that always returns None: a set game is searched move by
+        so it is won iff it has an odd number of elements.  Other rules get
+        a function that always returns None: a set game is searched move by
         move, so that the reduction checks search both of their sides.
         """
-        if self.noun == "set" or not self._element_game:
+        if not self._element_game:
             return _never
         out = tuple(kill ^ legal for legal, kill in zip(self.legal, self.kill))
         return partial(_antichain_win, out, reduce(or_, out, 0))

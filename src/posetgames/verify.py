@@ -7,12 +7,14 @@ instance attached.  ``run_suite`` maps one function over the units, in this
 process or in ``jobs`` workers, with the same report either way.  Runs are
 deterministic for a fixed config, including the sampling seed.
 
-Every check runs through ``_verdict``, its solves under one budgeted
-``SearchStats``.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table,
-and the ``_SUITES`` table holds all ``run_suite`` knows about a suite.  A
-lemma unit is one source graph and its ``BOnlyContext``: ``_run_unit``
-checks its cases, each a mask of vertex picks and an edge, in one loop on
-that context, which caches the position after each mask.
+A check returns what is wrong, or None when it holds, and counts the states
+of its solves in the ``SearchStats`` it is given.  ``_run_unit`` gives each
+check a budgeted one, times it and turns its answer into a verdict.  Lemmas
+2-4 are one check driven by the ``_LEMMAS`` table, and the ``_SUITES`` table
+holds all ``run_suite`` knows about a suite.  A lemma unit is one source
+graph and its ``BOnlyContext``: ``_run_unit`` checks its cases, each a mask
+of vertex picks and an edge, in one loop on that context, which caches the
+position after each mask.
 """
 
 from __future__ import annotations
@@ -74,17 +76,10 @@ class SuiteConfig:
             raise ValueError(f"max_n={n} is not between 1 and the {self.suite} cap {cap}")
 
 
-@dataclass(slots=True)
-class CheckResult:
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    states: int = 0
-    detail: str = ""
-
-
 @dataclass(slots=True)  # one per case, and a report holds them all
 class InstanceResult:
     instance: str
-    verdict: str
+    verdict: str  # "pass" | "fail" | "inconclusive"
     states: int
     millis: float
     detail: str = ""
@@ -151,77 +146,46 @@ class SuiteReport:
 # individual checks
 
 
-def _verdict(stats: SearchStats, run, instance: Graph | Poset) -> CheckResult:
-    """Run a check on ``instance``, whose solves count their states in
-    ``stats``.  ``run`` says what is wrong, or returns None when the check
-    holds; a solve that runs out of budget makes the check inconclusive."""
-    try:
-        wrong = run()
-    except BudgetExceeded:
-        return CheckResult("inconclusive", stats.states, "budget exhausted")
-    if wrong is None:
-        return CheckResult("pass", stats.states)
-    text = format_poset(instance) if isinstance(instance, Poset) else format_graph(instance)
-    return CheckResult("fail", stats.states, f"{wrong} on\n{text}")
-
-
-def check_psi_properties(g: Graph, psi_fn=psi) -> CheckResult:
+def check_psi_properties(g: Graph, stats: SearchStats, psi_fn=psi, phi_fn=phi) -> str | None:
     """Structural guarantees the poset construction relies on: the padded
     graph has an odd number of edges, and every vertex has a non-incident
     edge."""
-
-    def run():
-        h = psi_fn(g)
-        if len(h.edges) % 2 != 1:
-            return f"even edge count {len(h.edges)}"
-        common = (1 << h.n) - 1  # the vertices on every edge seen so far
-        for u, v in h.edges:
-            common &= 1 << u | 1 << v
-            if not common:
-                return None
-        return f"vertex {(common & -common).bit_length() - 1} incident to every edge"
-
-    return _verdict(SearchStats(), run, g)
+    h = psi_fn(g)
+    if len(h.edges) % 2 != 1:
+        return f"even edge count {len(h.edges)}"
+    common = (1 << h.n) - 1  # the vertices on every edge seen so far
+    for u, v in h.edges:
+        common &= 1 << u | 1 << v
+        if not common:
+            return None
+    return f"vertex {(common & -common).bit_length() - 1} incident to every edge"
 
 
-def check_lemma1(g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi) -> CheckResult:
+def check_lemma1(g: Graph, stats: SearchStats, psi_fn=psi, phi_fn=phi) -> str | None:
     """Padding must not change the Kayles Grundy number."""
-    stats = SearchStats(budget=budget)
-
-    def run():
-        before = grundy(KaylesGame(g), stats=stats)
-        after = grundy(KaylesGame(psi_fn(g)), stats=stats)
-        if before != after:
-            return f"grundy {before} vs {after} after padding"
-
-    return _verdict(stats, run, g)
+    before = grundy(KaylesGame(g), stats=stats)
+    after = grundy(KaylesGame(psi_fn(g)), stats=stats)
+    if before != after:
+        return f"grundy {before} vs {after} after padding"
+    return None
 
 
-def check_theorem(g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi) -> CheckResult:
+def check_theorem(g: Graph, stats: SearchStats, psi_fn=psi, phi_fn=phi) -> str | None:
     """The Kayles winner on g must match the poset-game winner on its image."""
-    stats = SearchStats(budget=budget)
-
-    def run():
-        kayles = solve_winner(KaylesGame(g), stats=stats)
-        image = phi_fn(psi_fn(g))
-        posets = solve_winner(PosetGame(image.poset), stats=stats)
-        if kayles != posets:
-            return f"kayles={kayles.value} poset={posets.value}"
-
-    return _verdict(stats, run, g)
+    kayles = solve_winner(KaylesGame(g), stats=stats)
+    posets = solve_winner(PosetGame(phi_fn(psi_fn(g)).poset), stats=stats)
+    if kayles != posets:
+        return f"kayles={kayles.value} poset={posets.value}"
+    return None
 
 
-def check_setgame_equiv(p: Poset, budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_setgame_equiv(p: Poset, stats: SearchStats, psi_fn=psi, phi_fn=phi) -> str | None:
     """A poset and its upper-cone set game must have equal Grundy numbers."""
-    stats = SearchStats(budget=budget)
-
-    def run():
-        gp = grundy(PosetGame(p), stats=stats)
-        gs = grundy(SetGameRules(poset_to_setgame(p)), stats=stats)
-        if gp != gs:
-            return f"poset grundy {gp} vs set game {gs}"
-
-    return _verdict(stats, run, p)
+    gp = grundy(PosetGame(p), stats=stats)
+    gs = grundy(SetGameRules(poset_to_setgame(p)), stats=stats)
+    if gp != gs:
+        return f"poset grundy {gp} vs set game {gs}"
+    return None
 
 
 class BOnlyContext:
@@ -236,17 +200,16 @@ class BOnlyContext:
     endpoints; ``b_mask``, the vertex level.  The position after each set of
     picks is cached by the set's mask, since the exhaustive cases pick one
     set for every edge in turn.  The probes share one table, but each check
-    counts its states against its own ``budget``, so its verdict does not
+    counts its states in its own ``SearchStats``, so its verdict does not
     depend on the checks before it.
     """
 
-    def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi):
+    def __init__(self, g: Graph, psi_fn=psi, phi_fn=phi):
         self.source = g
         self.padded = psi_fn(g)
         self.image: PhiImage = phi_fn(self.padded)
         self.game = PosetGame(self.image.poset)
         self.table = TranspositionTable()
-        self.budget = budget
         up, b_elements = self.image.poset.up, self.image.b_elements()
         self.cones = tuple(up[b] for b in b_elements)
         c_elements = self.image.c_elements()
@@ -280,7 +243,7 @@ _LEMMAS = {
 _ENDPOINTS = ("neither endpoint", "exactly one endpoint", "both endpoints")
 
 
-def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e) -> CheckResult:
+def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e, stats: SearchStats) -> str | None:
     """Play each probed move of ``lemma`` after picking the vertices in the
     mask ``chosen``, and check the value of its child.  The edge, its
     endpoints in ``chosen`` and the probed elements are checked before the
@@ -295,18 +258,14 @@ def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e) -> CheckResult:
     for _, k in probes:
         if not pos >> edge[k] & 1:
             raise ValueError(f"edge {e} already removed from the position")
-    stats = SearchStats(budget=ctx.budget)
-
-    def run():
-        for probe, k in probes:
-            child = pos & ~ctx.game.kill[edge[k]]
-            if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
-                return (f"{left} vertex-level elements left after gamma({e}), "
-                        f"chosen={mask_to_sorted(chosen)}")
-            if solve_winner(ctx.game, child, ctx.table, stats=stats) is not reply:
-                return detail.format(probe=probe, e=e, chosen=mask_to_sorted(chosen))
-
-    return _verdict(stats, run, ctx.source)
+    for probe, k in probes:
+        child = pos & ~ctx.game.kill[edge[k]]
+        if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
+            return (f"{left} vertex-level elements left after gamma({e}), "
+                    f"chosen={mask_to_sorted(chosen)}")
+        if solve_winner(ctx.game, child, ctx.table, stats=stats) is not reply:
+            return detail.format(probe=probe, e=e, chosen=mask_to_sorted(chosen))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +299,20 @@ def _lemma_cases(ctx: BOnlyContext, which: int, graph_index: int, seed: int):
 class _Suite(NamedTuple):
     default_max_n: int
     cap: int  # the largest max_n accepted
-    check: Callable | None  # (unit, config, psi_fn, phi_fn) -> CheckResult; None for a lemma
+    check: Callable | None  # (unit, stats, psi_fn, phi_fn) -> what is wrong or None; None for a lemma
     posets: bool = False  # units are the graphs' phi images, then random posets
 
 
 # setgame Grundy-solves the phi images of its sources on both sides: max_n=4
 # takes about 21 s against 0.7 s at 3 (2-CPU VM, Python 3.11).
 _SUITES = {
-    "theorem": _Suite(4, ENUMERATION_CAP, lambda g, cfg, *fns: check_theorem(g, cfg.budget, *fns)),
-    "lemma1": _Suite(
-        5, ENUMERATION_CAP, lambda g, cfg, psi_fn, _: check_lemma1(g, cfg.budget, psi_fn)
-    ),
+    "theorem": _Suite(4, ENUMERATION_CAP, check_theorem),
+    "lemma1": _Suite(5, ENUMERATION_CAP, check_lemma1),
     "lemma2": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, None),
     "lemma3": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, None),
     "lemma4": _Suite(LEMMA_MAX_N, LEMMA_MAX_N, None),
-    "setgame": _Suite(3, 3, lambda p, cfg, *_: check_setgame_equiv(p, cfg.budget), posets=True),
-    "psi": _Suite(6, ENUMERATION_CAP, lambda g, cfg, psi_fn, _: check_psi_properties(g, psi_fn)),
+    "setgame": _Suite(3, 3, check_setgame_equiv, posets=True),
+    "psi": _Suite(6, ENUMERATION_CAP, check_psi_properties),
 }  # keyed in the order of SUITES
 
 
@@ -378,24 +335,38 @@ def _units(cfg: SuiteConfig, psi_fn, phi_fn):
 
 
 def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
-    """Run and time each check of one unit.
+    """Run, time and judge each check of one unit.
 
-    A lemma unit has one check per (chosen, e) case, on one shared context.
+    Each check counts its states against a budget of its own; running out
+    makes it inconclusive, and what it finds wrong fails it, with the
+    unit's instance attached.  A lemma unit has one check per (chosen, e)
+    case, on one shared context.
     """
     name, index, instance = unit
     clock = time.perf_counter
-    check = _SUITES[cfg.suite].check
-    if check is not None:
-        t0 = clock()
-        res = check(instance, cfg, psi_fn, phi_fn)
-        return [InstanceResult(name, res.verdict, res.states, (clock() - t0) * 1000, res.detail)]
-    ctx = BOnlyContext(instance, cfg.budget, psi_fn, phi_fn)
+    suite = _SUITES[cfg.suite]
+    if suite.check is None:
+        ctx = BOnlyContext(instance, psi_fn, phi_fn)
+        check, fns = _check_lemma, ()
+        picks = _lemma_cases(ctx, _LEMMAS[cfg.suite][0], index, cfg.seed)
+        cases = ((f"{name}/case={ci}", (cfg.suite, ctx, *case)) for ci, case in enumerate(picks))
+    else:
+        check, fns = suite.check, (psi_fn, phi_fn)
+        cases = [(name, (instance,))]
     results = []
-    for ci, (chosen, e) in enumerate(_lemma_cases(ctx, _LEMMAS[cfg.suite][0], index, cfg.seed)):
+    for case, args in cases:
+        stats = SearchStats(budget=cfg.budget)
         t0 = clock()
-        res = _check_lemma(cfg.suite, ctx, chosen, e)
-        millis = (clock() - t0) * 1000
-        results.append(InstanceResult(f"{name}/case={ci}", res.verdict, res.states, millis, res.detail))
+        try:
+            wrong = check(*args, stats, *fns)
+        except BudgetExceeded:
+            verdict, detail = "inconclusive", "budget exhausted"
+        else:
+            verdict, detail = "pass", ""
+            if wrong is not None:
+                text = format_poset(instance) if suite.posets else format_graph(instance)
+                verdict, detail = "fail", f"{wrong} on\n{text}"
+        results.append(InstanceResult(case, verdict, stats.states, (clock() - t0) * 1000, detail))
     return results
 
 

@@ -88,6 +88,19 @@ class TestWinner:
         err = capsys.readouterr().err
         assert "line 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name, text, game", [
+        ("near.sets", "1 9223372036854775807\n9223372036854775806\n", "setgame"),
+        ("empty.sets", "0 9223372036854775807\n", "setgame"),
+        ("header.poset", "9223372036854775807\n", "poset"),
+    ], ids=["set-element", "set-universe", "poset-header"])
+    def test_input_past_memory_exit_2(self, tmp_path, capsys, name, text, game):
+        # each size passes the parser, and the first int or list it needs
+        # fails at once, before anything is allocated
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["winner", "--game", game, str(path)]) == 2
+        assert capsys.readouterr().err == "error: the input needs more memory than is available\n"
+
     def test_budget_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         path.write_text(format_graph(complete_graph(4)))

@@ -14,7 +14,6 @@ from posetgames import (
     SetGameRules,
     chain,
     complete_graph,
-    disjoint_union,
     format_setgame,
     parse_setgame,
     phi,
@@ -239,13 +238,12 @@ def test_links_against_naive(game):
 @pytest.mark.parametrize("seed", range(8))
 def test_element_games_are_known_at_build(seed):
     """Kayles and the poset game set ``_element_game`` when they build the
-    game; the generic check on the same masks agrees."""
+    game."""
     rng = random.Random(seed)
     n = rng.randrange(14)
     board = Graph.of(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
     for game in (KaylesGame(board), PosetGame(random_poset(rng.randrange(14), rng.random(), seed))):
         assert game.__dict__["_element_game"] is True
-        assert MaskGame(game.size, game.legal, game.kill, game.noun)._element_game is True
 
 
 def test_mask_game_rejects_masks_outside_its_elements():
@@ -253,13 +251,3 @@ def test_mask_game_rejects_masks_outside_its_elements():
         MaskGame(2, [0b1], [0b101], "vertex")
     with pytest.raises(ValueError):
         MaskGame(2, [0b1, 0b10], [0b1], "vertex")
-
-
-def test_kayles_closed_neighborhood_masks_match_definition():
-    g = disjoint_union(P3, complete_graph(2))
-    game = KaylesGame(g)
-    full = game.initial()
-    for v in range(g.n):
-        removed = full & ~game.child(full, v)
-        expected = {v} | {u for e in g.edges if v in e for u in e}
-        assert set(mask_to_sorted(removed)) == expected

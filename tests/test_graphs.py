@@ -4,7 +4,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from posetgames import (
     FormatError,
@@ -136,8 +136,17 @@ class TestEnumeration:
         assert list(b) != list(a)  # b still starts at the empty graph
 
 
+P3 = Graph.of(3, [(0, 1), (1, 2)])
+
+
 class TestAdjacency:
+    """A Kayles move at v removes v and its neighbours."""
+
     @given(small_graphs(6))
+    @example(complete_graph(2))
+    @example(P3)  # the centre removes the whole path
+    @example(Graph.of(3, [(0, 1)]))  # vertex 2 is isolated
+    @example(disjoint_union(P3, complete_graph(2)))
     def test_masks_match_edges(self, g):
         kill = KaylesGame(g).kill
         for v in range(g.n):
@@ -156,21 +165,6 @@ class TestAdjacency:
     def test_path_components(self):
         g = Graph.of(6, [(0, 3), (3, 5), (1, 2)])
         assert components(g) == [[0, 3, 5], [1, 2], [4]]
-
-
-class TestClosedNeighborhood:
-    """A Kayles move at v removes v and its neighbours."""
-
-    def test_k2(self):
-        assert KaylesGame(complete_graph(2)).kill[0] == 0b11
-
-    def test_path_center(self):
-        p3 = Graph.of(3, [(0, 1), (1, 2)])
-        assert KaylesGame(p3).kill[1] == 0b111
-
-    def test_isolated(self):
-        g = Graph.of(3, [(0, 1)])
-        assert KaylesGame(g).kill[2] == 0b100
 
 
 class TestFormat:

@@ -17,9 +17,11 @@ from posetgames import (
     random_poset,
 )
 from posetgames import verify
+from posetgames.games import SetGame
 from posetgames.graphs import enumerate_labeled_graphs
-from posetgames.posets import Poset
+from posetgames.posets import Poset, format_poset
 from posetgames.reductions import PhiImage, phi, psi
+from posetgames.solver import BudgetExceeded, SearchStats
 from posetgames.verify import (
     BOnlyContext,
     DEFAULT_SEED,
@@ -39,27 +41,40 @@ K2 = complete_graph(2)
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 
 
+def run_one(suite, instance, budget=verify.DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi):
+    """``(instance, verdict, states, detail)`` of each result of ``_run_unit``
+    on the one unit ``instance``, named "unit"."""
+    cfg = SuiteConfig(suite, budget=budget)
+    results = _run_unit(cfg, psi_fn, phi_fn, ("unit", 0, instance))
+    return [(r.instance, r.verdict, r.states, r.detail) for r in results]
+
+
 class TestLemma1Check:
     def test_k2(self):
         assert grundy(KaylesGame(K2)) == 1
-        assert check_lemma1(K2).verdict == "pass"
+        assert check_lemma1(K2, SearchStats()) is None
+        [(name, verdict, states, detail)] = run_one("lemma1", K2)
+        assert (name, verdict, detail) == ("unit", "pass", "")
+        assert states > 0
 
     def test_empty_two_vertices(self):
-        assert check_lemma1(Graph.of(2)).verdict == "pass"
+        assert check_lemma1(Graph.of(2), SearchStats()) is None
 
     def test_p3(self):
         assert grundy(KaylesGame(P3)) == 2
-        assert check_lemma1(P3).verdict == "pass"
+        assert check_lemma1(P3, SearchStats()) is None
 
     def test_budget_inconclusive(self):
-        assert check_lemma1(complete_graph(4), budget=2).verdict == "inconclusive"
+        with pytest.raises(BudgetExceeded):
+            check_lemma1(complete_graph(4), SearchStats(budget=2))
+        assert run_one("lemma1", complete_graph(4), budget=2) == [
+            ("unit", "inconclusive", 3, "budget exhausted")]
 
 
 class TestLemma2Check:
     def test_k2_both_endpoints(self):
         ctx = BOnlyContext(K2)
-        res = _check_lemma("lemma2", ctx, 0b11, (0, 1))
-        assert res.verdict == "pass"
+        assert _check_lemma("lemma2", ctx, 0b11, (0, 1), SearchStats()) is None
         # after the winning reply only the other low edge copies remain
         after = ctx.game.apply(ctx._after(0b11), ctx.edges[0, 1][0])
         remaining = [x for x in range(ctx.image.num_edges) if after >> x & 1]
@@ -68,35 +83,33 @@ class TestLemma2Check:
     def test_all_vertices_chosen(self):
         ctx = BOnlyContext(K2)
         for e in ctx.image.edge_order:
-            assert _check_lemma("lemma2", ctx, (1 << ctx.padded.n) - 1, e).verdict == "pass"
+            assert _check_lemma("lemma2", ctx, (1 << ctx.padded.n) - 1, e, SearchStats()) is None
 
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ValueError, match="lemma2 needs both endpoints"):
-            _check_lemma("lemma2", BOnlyContext(K2), 0b1, (0, 1))
+            _check_lemma("lemma2", BOnlyContext(K2), 0b1, (0, 1), SearchStats())
 
 
 class TestLemma3Check:
     def test_k2_one_endpoint(self):
-        res = _check_lemma("lemma3", BOnlyContext(K2), 0b1, (0, 1))
-        assert res.verdict == "pass"
+        assert _check_lemma("lemma3", BOnlyContext(K2), 0b1, (0, 1), SearchStats()) is None
 
     def test_k3_each_incident_edge(self):
         g = complete_graph(3)
         ctx = BOnlyContext(g)
         for e in ((0, 1), (0, 2)):
-            assert _check_lemma("lemma3", ctx, 0b1, e).verdict == "pass"
+            assert _check_lemma("lemma3", ctx, 0b1, e, SearchStats()) is None
 
     def test_both_endpoints_rejected(self):
         with pytest.raises(ValueError, match="lemma3 needs exactly one endpoint"):
-            _check_lemma("lemma3", BOnlyContext(K2), 0b11, (0, 1))
+            _check_lemma("lemma3", BOnlyContext(K2), 0b11, (0, 1), SearchStats())
 
     def test_winning_gamma_fails(self):
         # a table that calls the child lost makes gamma(e) a winning move
         ctx = BOnlyContext(K2)
         ctx.table.wins[ctx.game.apply(ctx._after(0b1), ctx.edges[0, 1][0])] = False
-        res = _check_lemma("lemma3", ctx, 0b1, (0, 1))
-        assert res.verdict == "fail"
-        assert res.detail == f"gamma((0, 1)) not losing after chosen=[0] on\n{format_graph(K2)}"
+        assert _check_lemma("lemma3", ctx, 0b1, (0, 1), SearchStats()) == (
+            "gamma((0, 1)) not losing after chosen=[0]")
 
 
 class TestLemma4Check:
@@ -104,30 +117,29 @@ class TestLemma4Check:
         ctx = BOnlyContext(K2)
         assert len(ctx.image.edge_order) == 3
         for e in ctx.image.edge_order:
-            assert _check_lemma("lemma4", ctx, 0, e).verdict == "pass"
+            assert _check_lemma("lemma4", ctx, 0, e, SearchStats()) is None
 
     def test_k3_inner_edge(self):
         g = complete_graph(3)
-        assert _check_lemma("lemma4", BOnlyContext(g), 0, (0, 1)).verdict == "pass"
+        assert _check_lemma("lemma4", BOnlyContext(g), 0, (0, 1), SearchStats()) is None
 
     def test_removed_edge_rejected(self):
         with pytest.raises(ValueError):
-            _check_lemma("lemma4", BOnlyContext(K2), 0b1, (0, 1))
+            _check_lemma("lemma4", BOnlyContext(K2), 0b1, (0, 1), SearchStats())
 
     @pytest.mark.parametrize("e", [(0, 2), (1, 0)])
     def test_unknown_edge_rejected(self, e):
         # psi(K2) adds the edges (2, 3) and (4, 5); edges are given low end first
         with pytest.raises(ValueError, match=re.escape(f"{e} is not an edge of the padded graph")):
-            _check_lemma("lemma4", BOnlyContext(K2), 0, e)
+            _check_lemma("lemma4", BOnlyContext(K2), 0, e, SearchStats())
 
     def test_winning_gamma_fails(self):
         # e itself is still losing; a table that calls gamma(e)'s child lost
         # makes the second probe fail
         ctx = BOnlyContext(K2)
         ctx.table.wins[ctx.game.apply(ctx._after(0), ctx.edges[0, 1][0])] = False
-        res = _check_lemma("lemma4", ctx, 0, (0, 1))
-        assert res.verdict == "fail"
-        assert res.detail == f"gamma(e) for (0, 1) not losing, chosen=[] on\n{format_graph(K2)}"
+        assert _check_lemma("lemma4", ctx, 0, (0, 1), SearchStats()) == (
+            "gamma(e) for (0, 1) not losing, chosen=[]")
 
 
 class TestRunUnitAgainstFreshContext:
@@ -145,8 +157,8 @@ class TestRunUnitAgainstFreshContext:
         units += [(f"n=4/g={gi}", gi, n4[gi]) for gi in (0, 22, 63)]  # sampled cases
         seen = []
 
-        def spy(lemma, ctx, chosen, e):
-            res = real(lemma, ctx, chosen, e)
+        def spy(lemma, ctx, chosen, e, stats):
+            res = real(lemma, ctx, chosen, e, stats)
             seen.append((ctx, chosen, e, ctx._positions[chosen]))
             return res
 
@@ -171,23 +183,29 @@ class TestRunUnitAgainstFreshContext:
                 for v in vertices:
                     cones |= image.poset.up[image.b_of_vertex(v)]
                 assert pos == (1 << image.poset.m) - 1 & ~cones
-                fresh = _check_lemma(lemma, BOnlyContext(g), chosen, e)
-                assert (r.verdict, r.detail) == (fresh.verdict, fresh.detail) == ("pass", "")
+                fresh = _check_lemma(lemma, BOnlyContext(g), chosen, e, SearchStats())
+                assert (r.verdict, r.detail, fresh) == ("pass", "", None)
         assert next(cases, None) is None
 
 
 class TestTheoremCheck:
     def test_k2(self):
-        assert check_theorem(K2).verdict == "pass"
+        assert check_theorem(K2, SearchStats()) is None
+        [(name, verdict, states, detail)] = run_one("theorem", K2)
+        assert (name, verdict, detail) == ("unit", "pass", "")
+        assert states > 0
 
     def test_empty_two_vertices(self):
-        assert check_theorem(Graph.of(2)).verdict == "pass"
+        assert check_theorem(Graph.of(2), SearchStats()) is None
 
     def test_p3(self):
-        assert check_theorem(P3).verdict == "pass"
+        assert check_theorem(P3, SearchStats()) is None
 
     def test_budget_inconclusive(self):
-        assert check_theorem(complete_graph(4), budget=2).verdict == "inconclusive"
+        with pytest.raises(BudgetExceeded):
+            check_theorem(complete_graph(4), SearchStats(budget=2))
+        assert run_one("theorem", complete_graph(4), budget=2) == [
+            ("unit", "inconclusive", 3, "budget exhausted")]
 
 
 class TestPsiCheck:
@@ -198,20 +216,27 @@ class TestPsiCheck:
         (Graph.of(5, [(1, 3), (2, 3), (3, 4)]), "vertex 3 incident to every edge"),
     ], ids=["even", "star", "one-edge", "hub"])
     def test_bad_padding(self, padded, detail):
-        res = check_psi_properties(P3, psi_fn=lambda g: padded)
-        assert res.verdict == "fail"
-        assert res.detail == f"{detail} on\n{format_graph(P3)}"
+        assert check_psi_properties(P3, SearchStats(), psi_fn=lambda g: padded) == detail
+        assert run_one("psi", P3, psi_fn=lambda g: padded) == [
+            ("unit", "fail", 0, f"{detail} on\n{format_graph(P3)}")]
 
 
 class TestSetGameCheck:
     def test_antichain(self):
-        assert check_setgame_equiv(antichain(3)).verdict == "pass"
+        assert check_setgame_equiv(antichain(3), SearchStats()) is None
 
     def test_chain(self):
-        assert check_setgame_equiv(chain(4)).verdict == "pass"
+        assert check_setgame_equiv(chain(4), SearchStats()) is None
 
     def test_random(self):
-        assert check_setgame_equiv(random_poset(10, 0.3, 7)).verdict == "pass"
+        assert check_setgame_equiv(random_poset(10, 0.3, 7), SearchStats()) is None
+
+    def test_failure_shows_the_poset(self, monkeypatch):
+        # a set game of one singleton is *1, against *2 for the 2-chain
+        monkeypatch.setattr(verify, "poset_to_setgame", lambda p: SetGame(1, [[0]]))
+        [(name, verdict, _, detail)] = run_one("setgame", chain(2))
+        assert (name, verdict) == ("unit", "fail")
+        assert detail == f"poset grundy 2 vs set game 1 on\n{format_poset(chain(2))}"
 
 
 def strip_millis(report):
