@@ -3,6 +3,7 @@ winner-preserving reductions between them."""
 
 from .graphs import (
     ENUMERATION_CAP,
+    MAX_ELEMENTS,
     FormatError,
     Graph,
     complete_graph,

@@ -57,10 +57,17 @@ def _write(path: str | None, text: str):
             f.write(text)
 
 
+def _budget(args) -> int | None:
+    """The ``--budget`` of a solver subcommand, which must be positive if given."""
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("budget must be positive")
+    return args.budget
+
+
 def cmd_solve(args) -> int:
     """``winner`` prints first/second and exits 0/1; ``grundy`` prints the value."""
+    stats = SearchStats(budget=_budget(args))
     rules = _load_game(args.input, args.game)
-    stats = SearchStats(budget=args.budget)
     t0 = time.perf_counter()
     table = TranspositionTable()
     solve = solve_winner if args.command == "winner" else grundy
@@ -89,7 +96,7 @@ def cmd_reduce(args) -> int:
         if args.map_out:
             _write(args.map_out, format_phi_mapping(image))
         if args.dot:
-            _write(args.dot, to_dot(image.poset))
+            _write(args.dot, to_dot(image.poset, image.levels))
         return 0
     if args.src == "poset" and args.dst == "setgame":
         poset = parse_poset(text)
@@ -129,6 +136,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_play(args) -> int:
+    budget = _budget(args)
     rules = _load_game(args.input, args.game)
     pos = rules.initial()
     table = TranspositionTable()
@@ -156,7 +164,7 @@ def cmd_play(args) -> int:
                 continue
         else:
             try:
-                mv = best_move(rules, pos, table=table, budget=args.budget)
+                mv = best_move(rules, pos, table=table, budget=budget)
             except BudgetExceeded:
                 print("undecided: budget exhausted", file=sys.stderr)
                 return 2

@@ -8,7 +8,8 @@ All three are one game over bitmask positions: move ``i`` is legal when its
 - set game: the set's mask for both, since a state is the mask of surviving
   ground elements and picking a set erases its elements everywhere.
 
-A legal move always deletes part of the position, so playouts terminate.
+A legal move always deletes part of the position, so playouts terminate:
+``MaskGame`` refuses a kill mask that misses part of its legal mask.
 Normal play: the player who cannot move loses.
 
 Two elements are linked when one move's legal mask holds one of them and
@@ -41,9 +42,12 @@ class MaskGame:
         self.size = size
         self.legal = tuple(legal)
         self.kill = tuple(kill)
-        outside = any((a | b) >> size for a, b in zip(self.legal, self.kill))
-        if outside or len(self.legal) != len(self.kill):
-            raise ValueError(f"need one legal and one kill mask per move, inside {size} elements")
+        bad = any((legal | kill) >> size or legal & ~kill for legal, kill in zip(self.legal, self.kill))
+        if bad or len(self.legal) != len(self.kill):
+            raise ValueError(
+                f"need one legal and one kill mask per move, inside {size} elements, each kill mask"
+                " holding its legal mask"
+            )
         self.noun = noun
         # the order the solver tries moves in: most-removing first, ties by index
         self.order = tuple(sorted(zip(self.legal, self.kill), key=lambda lk: -lk[1].bit_count()))

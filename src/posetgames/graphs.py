@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Iterator
 from itertools import combinations, compress
 
 ENUMERATION_CAP = 6
+# the largest value a file's header may hold: a game keeps one mask of up to
+# this many bits per element (README "File formats" gives what that costs)
+MAX_ELEMENTS = 10_000
 
 
 class FormatError(ValueError):
@@ -25,11 +27,10 @@ def _read(text: str, kind: str, header: str) -> tuple[list[int], Iterator[tuple[
     The three formats share this grammar: a line whose first non-blank
     character is '#' is a comment, anywhere in the file; blank lines before
     the header are skipped; the header is one non-negative integer per word
-    of ``header``, at most ``sys.maxsize``, since no list holds more entries
-    than that.  Returns the header's integers and an iterator of
-    ``(line number, tokens)`` over the later lines that are not comments,
-    with lines counted from 1; a blank line has no tokens.  Each format
-    converts the tokens of its own rows.
+    of ``header``, each at most ``MAX_ELEMENTS``.  Returns the header's
+    integers and an iterator of ``(line number, tokens)`` over the later
+    lines that are not comments, with lines counted from 1; a blank line has
+    no tokens.  Each format converts the tokens of its own rows.
     """
     rows = (
         (lineno, tokens)
@@ -47,8 +48,8 @@ def _read(text: str, kind: str, header: str) -> tuple[list[int], Iterator[tuple[
             raise ValueError
     except ValueError:
         raise FormatError(f"expected {header!r} as non-negative integers, got {' '.join(tokens)!r}", lineno)
-    if max(values) > sys.maxsize:
-        raise FormatError(f"header value {max(values)} exceeds the largest size, {sys.maxsize}", lineno)
+    if max(values) > MAX_ELEMENTS:
+        raise FormatError(f"header value {max(values)} exceeds the element limit, {MAX_ELEMENTS}", lineno)
     return values, rows
 
 

@@ -82,27 +82,26 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
 class Poset:
     """Immutable finite poset on elements 0..m-1."""
 
-    __slots__ = ("m", "up", "_down", "_covers", "levels")
+    __slots__ = ("m", "up", "_down", "_covers")
 
-    def __init__(self, m: int, up: Sequence[int], levels: Sequence[str | None] | None = None):
+    def __init__(self, m: int, up: Sequence[int]):
         bad = validate_relation(m, up)
         if bad is not None:
             raise ValueError(f"not a partial order: {bad}")
-        self._fill(m, up, levels, None)
+        self._fill(m, up, None)
 
-    def _fill(self, m, up, levels, down):
+    def _fill(self, m, up, down):
         self.m = m
         self.up = tuple(up)
         self._down = None if down is None else tuple(down)
         self._covers = None
-        self.levels = tuple(levels) if levels is not None else None
 
     @classmethod
-    def _closed(cls, m, up, levels, down=None) -> "Poset":
+    def _closed(cls, m, up, down=None) -> "Poset":
         """A poset from rows already known to be a partial order, and their
         transpose ``down`` when the caller knows it."""
         self = object.__new__(cls)
-        self._fill(m, up, levels, down)
+        self._fill(m, up, down)
         return self
 
     @property
@@ -113,12 +112,7 @@ class Poset:
         return self._down
 
     @classmethod
-    def from_pairs(
-        cls,
-        m: int,
-        pairs: Iterable[tuple[int, int]],
-        levels: Sequence[str | None] | None = None,
-    ) -> "Poset":
+    def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
         """Close an arbitrary sub-relation reflexively and transitively.
 
         One depth-first pass over direct-successor masks: an element's cone
@@ -162,7 +156,7 @@ class Poset:
                 else:
                     state[x] = 2
                     stack.pop()
-        return cls._closed(m, up, levels)
+        return cls._closed(m, up)
 
     def leq(self, x: int, y: int) -> bool:
         if not (0 <= x < self.m and 0 <= y < self.m):
@@ -195,24 +189,13 @@ class Poset:
 
     def disjoint_sum(self, other: "Poset") -> "Poset":
         """Order-disjoint union; other's elements are shifted up by self.m."""
-        up = self.up + tuple(row << self.m for row in other.up)
-        levels = None
-        if self.levels is not None or other.levels is not None:
-            left = self.levels or (None,) * self.m
-            right = other.levels or (None,) * other.m
-            levels = left + right
-        return Poset._closed(self.m + other.m, up, levels)
+        return Poset._closed(self.m + other.m, self.up + tuple(row << self.m for row in other.up))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poset)
-            and self.m == other.m
-            and self.up == other.up
-            and self.levels == other.levels
-        )
+        return isinstance(other, Poset) and self.m == other.m and self.up == other.up
 
     def __hash__(self):
-        return hash((self.m, self.up, self.levels))
+        return hash((self.m, self.up))
 
     def __repr__(self):
         return f"Poset(m={self.m})"
@@ -256,14 +239,14 @@ def random_poset(m: int, density: float, seed: int) -> Poset:
     return Poset.from_pairs(m, pairs)
 
 
-def to_dot(p: Poset) -> str:
-    """Hasse diagram as DOT: cover edges only, oriented lower -> upper."""
+def to_dot(p: Poset, levels: Sequence[str] | None = None) -> str:
+    """Hasse diagram as DOT: cover edges only, oriented lower -> upper.
+
+    ``levels``, when given, holds one label per element, written as its
+    ``level`` attribute; ``PhiImage.levels`` holds a phi image's A/B/C labels."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for x in range(p.m):
-        attrs = ""
-        if p.levels is not None and p.levels[x] is not None:
-            attrs = f' [level="{p.levels[x]}"]'
-        lines.append(f"  {x}{attrs};")
+        lines.append(f"  {x};" if levels is None else f'  {x} [level="{levels[x]}"];')
     for x, y in p.cover_pairs():
         lines.append(f"  {x} -> {y};")
     lines.append("}")

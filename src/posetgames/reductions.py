@@ -71,6 +71,11 @@ class PhiImage(_Record):
     def c_elements(self) -> range:
         return range(self.num_edges + self.source.n, self.poset.m)
 
+    @property
+    def levels(self) -> tuple[str, ...]:
+        """Each element's level, "A", "B" or "C", in index order."""
+        return ("A",) * self.num_edges + ("B",) * self.source.n + ("C",) * self.num_edges
+
 
 def phi(g: Graph) -> PhiImage:
     """Build the three-level poset for a graph.
@@ -97,8 +102,7 @@ def phi(g: Graph) -> PhiImage:
     up += [1 << (ne + v) | at[v] << (ne + nv) for v in range(nv)] + [1 << x for x in range(ne + nv, m)]
     down = [1 << i for i in range(ne)] + [1 << (ne + v) | (a_all ^ at[v]) for v in range(nv)]
     down += [1 << (ne + nv + i) | b | (a_all ^ 1 << i) for i, b in enumerate(ends)]
-    levels = ["A"] * ne + ["B"] * nv + ["C"] * ne
-    return PhiImage(Poset._closed(m, up, levels, down), g, edges)
+    return PhiImage(Poset._closed(m, up, down), g, edges)
 
 
 def reduce_kayles_to_poset(g: Graph) -> PhiImage:

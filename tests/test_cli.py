@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import posetgames
 from posetgames import (
+    MAX_ELEMENTS,
     Graph,
     complete_graph,
     disjoint_union,
@@ -94,18 +96,57 @@ class TestWinner:
         ("header.poset", "9223372036854775807\n", "poset"),
     ], ids=["set-element", "set-universe", "poset-header"])
     def test_input_past_memory_exit_2(self, tmp_path, capsys, name, text, game):
-        # each size passes the parser, and the first int or list it needs
-        # fails at once, before anything is allocated
+        # each size is past the element limit, so the header refuses it before anything is allocated
         path = tmp_path / name
         path.write_text(text)
         assert main(["winner", "--game", game, str(path)]) == 2
-        assert capsys.readouterr().err == "error: the input needs more memory than is available\n"
+        assert capsys.readouterr().err == (
+            f"error: line 1: header value {sys.maxsize} exceeds the element limit, {MAX_ELEMENTS}\n"
+        )
+
+    @pytest.mark.parametrize("where", ["load", "solve"])
+    def test_memory_error_exit_2(self, antichain3_file, capsys, monkeypatch, where):
+        # a search can still outgrow an address-space limit, inside the element limit
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_load_game" if where == "load" else "solve_winner", exhausted)
+        assert main(["winner", "--game", "poset", antichain3_file]) == 2
+        assert capsys.readouterr() == ("", "error: the input needs more memory than is available\n")
+
+    @pytest.mark.parametrize("game, header", [
+        ("kayles", "{}"), ("poset", "{}"), ("setgame", "0 {}"),
+    ], ids=["graph", "poset", "setgame"])
+    def test_at_limit_under_address_space_limit(self, tmp_path, game, header):
+        # grundy on a header at the limit is the largest run a header-only file asks for; under
+        # a 128 MB address space it stops at its budget or runs out of memory, never by a signal
+        path = tmp_path / f"limit.{game}"
+        path.write_text(header.format(MAX_ELEMENTS) + "\n")
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+            "from posetgames.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(posetgames.__file__).parent.parent))
+        args = [sys.executable, "-c", code, "grundy", "--game", game, "--budget", "1", str(path)]
+        run = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode in (0, 2), run.stderr
+        assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
 
     def test_budget_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         path.write_text(format_graph(complete_graph(4)))
         assert main(["winner", "--game", "kayles", "--budget", "1", str(path)]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["winner", "grundy", "play", "verify"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_an_error(self, k2k2_file, capsys, monkeypatch, command, budget):
+        monkeypatch.setattr("builtins.input", lambda prompt: pytest.fail("play asked for a move"))
+        args = ["--suite", "psi"] if command == "verify" else ["--game", "kayles", k2k2_file]
+        assert main([command, *args, "--budget", budget]) == 2
+        assert capsys.readouterr() == ("", "error: budget must be positive\n")
 
 
 class TestGrundy:
@@ -218,6 +259,19 @@ class TestExportDot:
         assert main(["export-dot", str(src)]) == 0
         out = capsys.readouterr().out
         assert out.count("->") == 2
+
+    def test_parsed_phi_image_has_no_levels(self, tmp_path, capsys):
+        # the labels belong to the phi image: reduce --dot writes them, a poset file has none
+        src = tmp_path / "p3.graph"
+        src.write_text("3\n0 1\n1 2\n")
+        poset, dot = tmp_path / "p3.poset", tmp_path / "p3.dot"
+        assert main(["reduce", str(src), "--from", "kayles", "--to", "poset",
+                     "--out", str(poset), "--dot", str(dot)]) == 0
+        assert dot.read_text().count(' [level="') == 27  # phi(psi(P3)): 9 edges, 9 vertices
+        assert main(["export-dot", str(poset)]) == 0
+        out = capsys.readouterr().out
+        assert "level" not in out
+        assert out == re.sub(r' \[level="[ABC]"\]', "", dot.read_text())
 
 
 class TestPlay:

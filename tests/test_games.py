@@ -251,3 +251,11 @@ def test_mask_game_rejects_masks_outside_its_elements():
         MaskGame(2, [0b1], [0b101], "vertex")
     with pytest.raises(ValueError):
         MaskGame(2, [0b1, 0b10], [0b1], "vertex")
+
+
+def test_mask_game_rejects_a_move_that_removes_nothing():
+    # from position 0b01 the move would be legal and leave the position as it is
+    with pytest.raises(ValueError, match="holding its legal mask"):
+        MaskGame(2, [0b01], [0b10], "x")
+    with pytest.raises(ValueError, match="holding its legal mask"):
+        MaskGame(2, [0b11], [0b01], "x")

@@ -1,12 +1,12 @@
 import pickle
 import random
-import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from posetgames import (
+    MAX_ELEMENTS,
     FormatError,
     Graph,
     KaylesGame,
@@ -220,14 +220,27 @@ class TestFormat:
         pytest.param(parse_setgame, "1 10000000000000000000\n9223372036854775808\n", id="setgame"),
     ])
     def test_header_past_maxsize(self, parse, text):
-        # no list has more than sys.maxsize entries, so no header may ask for more
+        # past any list's length, and so past the element limit too
         with pytest.raises(FormatError, match="line 1:") as info:
             parse(text)
         assert info.value.line == 1
 
-    def test_header_at_maxsize(self):
-        assert parse_graph(f"{sys.maxsize}\n0 {sys.maxsize - 1}\n").n == sys.maxsize
-        assert parse_setgame(f"0 {sys.maxsize}\n").universe == sys.maxsize
+    @pytest.mark.parametrize("parse, header", [
+        pytest.param(parse_graph, f"{MAX_ELEMENTS + 1}", id="graph"),
+        pytest.param(parse_poset, f"{MAX_ELEMENTS + 1}", id="poset"),
+        pytest.param(parse_setgame, f"0 {MAX_ELEMENTS + 1}", id="setgame-universe"),
+        pytest.param(parse_setgame, f"{MAX_ELEMENTS + 1} 0", id="setgame-sets"),
+    ])
+    def test_header_past_limit(self, parse, header):
+        with pytest.raises(FormatError, match=f"^line 1: header value {MAX_ELEMENTS + 1} exceeds") as info:
+            parse(f"{header}\n")
+        assert info.value.line == 1
+
+    def test_header_at_limit(self):
+        assert parse_graph(f"{MAX_ELEMENTS}\n0 {MAX_ELEMENTS - 1}\n").n == MAX_ELEMENTS
+        assert parse_poset(f"{MAX_ELEMENTS}\n{MAX_ELEMENTS - 1} 0\n").m == MAX_ELEMENTS
+        s = parse_setgame(f"{MAX_ELEMENTS} {MAX_ELEMENTS}\n{MAX_ELEMENTS - 1}\n" + "\n" * MAX_ELEMENTS)
+        assert (s.k, s.universe, s.masks[0]) == (MAX_ELEMENTS, MAX_ELEMENTS, 1 << MAX_ELEMENTS - 1)
 
     def test_comments_and_blanks(self):
         g = parse_graph("# a triangle\n3\n\n0 1\n1 2\n# done\n0 2\n")

@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 
 from posetgames import (
     FormatError,
+    Graph,
     Poset,
     PosetGame,
     antichain,
     chain,
     complete_graph,
+    enumerate_labeled_graphs,
     format_poset,
     parse_poset,
     phi,
@@ -245,7 +247,7 @@ class TestDot:
 
     def test_phi_k2_covers(self):
         image = phi(complete_graph(2))
-        dot = to_dot(image.poset)
+        dot = to_dot(image.poset, image.levels)
         assert dot.count("->") == 2
         c = image.c_elements()[image.edge_order.index((0, 1))]
         assert f"{image.b_of_vertex(0)} -> {c};" in dot
@@ -256,12 +258,29 @@ class TestDot:
         dot = to_dot(chain(4))
         assert "0 -> 2" not in dot and "0 -> 3" not in dot
 
+    def test_phi_p3_with_levels(self):
+        image = phi(Graph.of(3, [(0, 1), (1, 2)]))
+        assert to_dot(image.poset, image.levels) == (
+            "digraph hasse {\n  rankdir=BT;\n"
+            '  0 [level="A"];\n  1 [level="A"];\n'
+            '  2 [level="B"];\n  3 [level="B"];\n  4 [level="B"];\n'
+            '  5 [level="C"];\n  6 [level="C"];\n'
+            "  0 -> 4;\n  1 -> 2;\n  2 -> 5;\n  3 -> 5;\n  3 -> 6;\n  4 -> 6;\n}\n"
+        )
+
 
 class TestPosetFormat:
     def test_roundtrip_identity_on_relation(self):
         for seed in range(20):
             p = random_poset(7, 0.35, seed)
             assert parse_poset(format_poset(p)).up == p.up
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_phi_image_equals_its_reparse(self, n):
+        for g in enumerate_labeled_graphs(n):
+            p = phi(g).poset
+            q = parse_poset(format_poset(p))
+            assert q == p and hash(q) == hash(p)
 
     def test_writes_cover_pairs(self):
         assert format_poset(chain(4)) == "4\n0 1\n1 2\n2 3\n"

@@ -93,11 +93,11 @@ class TestPhi:
     def test_empty_graph_is_antichain(self):
         image = phi(Graph.of(4))
         assert image.poset.up == antichain(4).up
-        assert image.poset.levels == ("B",) * 4
+        assert image.levels == ("B",) * 4
 
     def test_levels_partition(self):
         image = phi(psi(complete_graph(3)))
-        levels = image.poset.levels
+        levels = image.levels
         ne, nv = image.num_edges, image.source.n
         assert levels == ("A",) * ne + ("B",) * nv + ("C",) * ne
         assert [levels[x] for x in (*image.b_elements(), *image.c_elements())] == ["B"] * nv + ["C"] * ne
@@ -120,7 +120,7 @@ def _phi_by_closure(g):
     ne, nv = len(edges), g.n
     pairs = [(ne + b, ne + nv + i) if b in e else (i, ne + b)
              for i, e in enumerate(edges) for b in range(nv)]
-    return Poset.from_pairs(nv + 2 * ne, pairs, ["A"] * ne + ["B"] * nv + ["C"] * ne)
+    return Poset.from_pairs(nv + 2 * ne, pairs)
 
 
 def _seeded_graphs(count=300, max_n=14):
@@ -159,7 +159,7 @@ class TestPhiClosedForm:
 def _expected_leq(image, x, y):
     if x == y:
         return True
-    lv = image.poset.levels
+    lv = image.levels
     edges = image.edge_order
     ne, nv = image.num_edges, image.source.n
     if lv[x] == "B" and lv[y] == "C":

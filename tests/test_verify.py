@@ -357,8 +357,7 @@ def drop_one_low_relation(g):
                 pairs.append((i, b))
             else:
                 dropped = True
-    levels = ["A"] * ne + ["B"] * nv + ["C"] * ne
-    return PhiImage(Poset.from_pairs(nv + 2 * ne, pairs, levels), g, edges)
+    return PhiImage(Poset.from_pairs(nv + 2 * ne, pairs), g, edges)
 
 
 def single_k3_padding(g):
