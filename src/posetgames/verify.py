@@ -3,18 +3,20 @@
 A suite is a stream of units: enumerated small source graphs, or for
 ``setgame`` posets.  Each unit runs its checks, solving both sides with the
 exhaustive solver and reporting any disagreement as a failure with the full
-instance attached.  ``run_suite`` maps one function over the units, in this
-process or in ``jobs`` workers, with the same report either way.  Runs are
-deterministic for a fixed config, including the sampling seed.
+instance attached.  ``run_suite`` runs the units in this process, or in
+chunks in ``jobs`` workers whose reports it joins, with the same report
+either way.  Runs are deterministic for a fixed config, including the
+sampling seed.
 
 A check returns what is wrong, or None when it holds, and counts the states
 of its solves in the ``SearchStats`` it is given.  ``_run_unit`` gives each
-check a budgeted one, times it and turns its answer into a verdict.  Lemmas
-2-4 are one check driven by the ``_LEMMAS`` table, and the ``_SUITES`` table
-holds all ``run_suite`` knows about a suite.  A lemma unit is one source
-graph and its ``BOnlyContext``: ``_run_unit`` checks its cases, each a mask
-of vertex picks and an edge, in one loop on that context, which caches the
-position after each mask.
+check a budgeted one, times it, turns its answer into a verdict and appends
+the case to the columns of a ``SuiteReport``, which builds a row object only
+when one is read.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table,
+and the ``_SUITES`` table holds all ``run_suite`` knows about a suite.  A
+lemma unit is one source graph and its ``BOnlyContext``: ``_run_unit``
+checks its cases, each a mask of vertex picks and an edge, in one loop on
+that context, which caches the position after each mask.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -76,7 +81,7 @@ class SuiteConfig:
             raise ValueError(f"max_n={n} is not between 1 and the {self.suite} cap {cap}")
 
 
-@dataclass(slots=True)  # one per case, and a report holds them all
+@dataclass(slots=True)  # one per row that a report's results view reads
 class InstanceResult:
     instance: str
     verdict: str  # "pass" | "fail" | "inconclusive"
@@ -85,61 +90,155 @@ class InstanceResult:
     detail: str = ""
 
 
-@dataclass
+_VERDICTS = ("pass", "fail", "inconclusive")  # a case's verdict code is its index
+_PASS, _FAIL, _INCONCLUSIVE = range(3)
+
+
 class SuiteReport:
-    suite: str
-    config: SuiteConfig
-    results: list[InstanceResult] = field(default_factory=list)
-    wall_millis: float = 0.0
+    """The cases of one suite run, stored as columns.
+
+    Per unit: its name, as UTF-8 bytes ending at ``_name_ends[u]`` in
+    ``_names``, and ``_ends[u]``, the index where its cases end.  Per case: a
+    verdict code, its states and its millis.  A case that did not pass has
+    its detail in ``_details``, keyed by case index in increasing order.  A
+    case costs about 18 bytes; ``results`` builds its ``InstanceResult``
+    only when read.  In a lemma suite a unit has one case per (chosen, e)
+    pair, named ``{unit}/case={k}``; in the others a unit is one case, named
+    by the unit.
+    """
+
+    def __init__(self, config: SuiteConfig):
+        self.suite = config.suite
+        self.config = config
+        self.wall_millis = 0.0
+        self._case_names = _SUITES[config.suite].check is None
+        self._names = bytearray()
+        self._name_ends = array("q")
+        self._ends = array("q")
+        self._verdicts = bytearray()
+        self._states = array("q")
+        self._millis = array("d")
+        self._details: dict[int, str] = {}
+
+    def _end_unit(self, name: str):
+        """Close the unit whose cases were appended since the last one."""
+        self._names += name.encode()
+        self._name_ends.append(len(self._names))
+        self._ends.append(len(self._verdicts))
+
+    def _extend(self, part: SuiteReport):
+        """Append the units of ``part``, a report on later units of the same run."""
+        names, cases = len(self._names), len(self._verdicts)
+        self._names += part._names
+        self._name_ends.extend(end + names for end in part._name_ends)
+        self._ends.extend(end + cases for end in part._ends)
+        self._verdicts += part._verdicts
+        self._states += part._states
+        self._millis += part._millis
+        self._details.update((i + cases, detail) for i, detail in part._details.items())
+
+    def _unit_name(self, u: int) -> str:
+        return self._names[self._name_ends[u - 1] if u else 0:self._name_ends[u]].decode()
+
+    def _row(self, i: int, name: str, k: int) -> InstanceResult:
+        """Case ``i``, the ``k``-th case of the unit named ``name``."""
+        return InstanceResult(
+            f"{name}/case={k}" if self._case_names else name,
+            _VERDICTS[self._verdicts[i]], self._states[i], self._millis[i],
+            self._details.get(i, ""),
+        )
+
+    def _case(self, i: int) -> InstanceResult:
+        u = bisect_right(self._ends, i)
+        return self._row(i, self._unit_name(u), i - (self._ends[u - 1] if u else 0))
+
+    def _rows(self):
+        start = 0
+        for u, end in enumerate(self._ends):
+            name = self._unit_name(u)
+            for i in range(start, end):
+                yield self._row(i, name, i - start)
+            start = end
+
+    @property
+    def results(self) -> _Results:
+        return _Results(self)
+
+    def _non_pass(self, code: int) -> list[InstanceResult]:
+        return [self._case(i) for i in self._details if self._verdicts[i] == code]
 
     @property
     def failures(self) -> list[InstanceResult]:
-        return [r for r in self.results if r.verdict == "fail"]
+        return self._non_pass(_FAIL)
 
     @property
     def inconclusives(self) -> list[InstanceResult]:
-        return [r for r in self.results if r.verdict == "inconclusive"]
+        return self._non_pass(_INCONCLUSIVE)
 
     @property
     def passed(self) -> bool:
-        return not self.failures and not self.inconclusives
+        return not self._details
 
     @property
     def states(self) -> int:
-        return sum(r.states for r in self.results)
+        return sum(self._states)
 
     def to_text(self) -> str:
         cfg = self.config
+        failures, inconclusives = self.failures, self.inconclusives
         lines = [
             f"suite: {self.suite}",
             f"config: max_n={cfg.resolved_max_n()} seed={cfg.seed} "
             f"budget={cfg.budget} jobs={cfg.jobs}",
-            f"instances: {len(self.results)}  failures: {len(self.failures)}  "
-            f"inconclusive: {len(self.inconclusives)}",
+            f"instances: {len(self._verdicts)}  failures: {len(failures)}  "
+            f"inconclusive: {len(inconclusives)}",
             f"states: {self.states}  wall_ms: {self.wall_millis:.0f}",
         ]
-        for r in self.failures + self.inconclusives:
+        for r in failures + inconclusives:
             lines.append(f"{r.verdict.upper()} {r.instance}: {r.detail}")
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines) + "\n"
 
+    def record_lines(self):
+        """One JSON record per case, each a line ending in a newline, built
+        as it is read."""
+        for r in self._rows():
+            yield json.dumps(
+                {
+                    "suite": self.suite,
+                    "instance": r.instance,
+                    "verdict": r.verdict,
+                    "states": r.states,
+                    "millis": round(r.millis, 3),
+                    "detail": r.detail,
+                },
+                sort_keys=True,
+            ) + "\n"
+
     def to_records(self) -> str:
-        out = []
-        for r in self.results:
-            out.append(
-                json.dumps(
-                    {
-                        "suite": self.suite,
-                        "instance": r.instance,
-                        "verdict": r.verdict,
-                        "states": r.states,
-                        "millis": round(r.millis, 3),
-                        "detail": r.detail,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(out) + "\n"
+        return "".join(self.record_lines())
+
+
+class _Results(Sequence):
+    """A read-only view of a report's cases as ``InstanceResult`` rows.  A row
+    is built each time it is read and never kept."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: SuiteReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report._verdicts)
+
+    def __getitem__(self, i: int) -> InstanceResult:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("result index out of range")
+        return self._report._case(i % n)
+
+    def __iter__(self):
+        return self._report._rows()
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +433,9 @@ def _units(cfg: SuiteConfig, psi_fn, phi_fn):
             yield f"random/{i}/m={m}", i, random_poset(m, density, cfg.seed * 7_919 + i)
 
 
-def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
-    """Run, time and judge each check of one unit.
+def _run_unit(report: SuiteReport, psi_fn, phi_fn, unit):
+    """Run, time and judge each check of one unit, appending its cases to
+    ``report``.
 
     Each check counts its states against a budget of its own; running out
     makes it inconclusive, and what it finds wrong fails it, with the
@@ -343,54 +443,68 @@ def _run_unit(cfg: SuiteConfig, psi_fn, phi_fn, unit) -> list[InstanceResult]:
     case, on one shared context.
     """
     name, index, instance = unit
+    cfg = report.config
     clock = time.perf_counter
     suite = _SUITES[cfg.suite]
     if suite.check is None:
         ctx = BOnlyContext(instance, psi_fn, phi_fn)
         check, fns = _check_lemma, ()
         picks = _lemma_cases(ctx, _LEMMAS[cfg.suite][0], index, cfg.seed)
-        cases = ((f"{name}/case={ci}", (cfg.suite, ctx, *case)) for ci, case in enumerate(picks))
+        cases = ((cfg.suite, ctx, *case) for case in picks)
     else:
         check, fns = suite.check, (psi_fn, phi_fn)
-        cases = [(name, (instance,))]
-    results = []
-    for case, args in cases:
+        cases = ((instance,),)
+    verdicts, states, millis, details = report._verdicts, report._states, report._millis, report._details
+    for args in cases:
         stats = SearchStats(budget=cfg.budget)
         t0 = clock()
         try:
             wrong = check(*args, stats, *fns)
         except BudgetExceeded:
-            verdict, detail = "inconclusive", "budget exhausted"
+            details[len(verdicts)] = "budget exhausted"
+            verdicts.append(_INCONCLUSIVE)
         else:
-            verdict, detail = "pass", ""
-            if wrong is not None:
+            if wrong is None:
+                verdicts.append(_PASS)
+            else:
                 text = format_poset(instance) if suite.posets else format_graph(instance)
-                verdict, detail = "fail", f"{wrong} on\n{text}"
-        results.append(InstanceResult(case, verdict, stats.states, (clock() - t0) * 1000, detail))
-    return results
+                details[len(verdicts)] = f"{wrong} on\n{text}"
+                verdicts.append(_FAIL)
+        states.append(stats.states)
+        millis.append((clock() - t0) * 1000)
+    report._end_unit(name)
+
+
+def _run_units(config: SuiteConfig, psi_fn, phi_fn, units) -> SuiteReport:
+    """A report on ``units``, run in turn."""
+    report = SuiteReport(config)
+    for unit in units:
+        _run_unit(report, psi_fn, phi_fn, unit)
+    return report
 
 
 def run_suite(config: SuiteConfig, psi_fn=psi, phi_fn=phi) -> SuiteReport:
     """Run one verification suite; deterministic for a fixed config.
 
-    With ``jobs > 1`` the units, ``psi_fn`` and ``phi_fn`` are pickled to a
-    process pool, which returns the units' results in the same order.
+    With ``jobs > 1`` the units are cut into chunks, which are pickled with
+    ``psi_fn`` and ``phi_fn`` to a process pool.  Each worker returns a report
+    on its chunk, and the chunks' columns are joined in unit order.
     """
     config.check()
     t0 = time.perf_counter()
-    run = partial(_run_unit, config, psi_fn, phi_fn)
     units = _units(config, psi_fn, phi_fn)
     if config.jobs == 1:
-        per_unit = map(run, units)
+        report = _run_units(config, psi_fn, phi_fn, units)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs load it
 
         units = list(units)
         # eight chunks per worker: few round trips, and late chunks even out uneven units
-        chunksize = max(1, len(units) // (8 * config.jobs))
+        size = max(1, len(units) // (8 * config.jobs))
+        chunks = [units[i:i + size] for i in range(0, len(units), size)]
+        report = SuiteReport(config)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_unit = list(pool.map(run, units, chunksize=chunksize))
-    results = [r for unit_results in per_unit for r in unit_results]
-    report = SuiteReport(config.suite, config, results)
+            for part in pool.map(partial(_run_units, config, psi_fn, phi_fn), chunks):
+                report._extend(part)
     report.wall_millis = (time.perf_counter() - t0) * 1000
     return report

@@ -227,6 +227,22 @@ class TestVerify:
         assert len(recs) == 3
         assert all(r["verdict"] == "pass" for r in recs)
 
+    def test_out_streams_the_records(self, tmp_path, capsys, monkeypatch):
+        from posetgames import verify
+
+        def strip(text):
+            return [{k: v for k, v in json.loads(line).items() if k != "millis"} for line in text.splitlines()]
+
+        expected = strip(verify.run_suite(verify.SuiteConfig("lemma3", max_n=2)).to_records())
+        # the file is written a line at a time, never built whole
+        monkeypatch.setattr(verify.SuiteReport, "to_records", None)
+        records = tmp_path / "records.jsonl"
+        assert main(["verify", "--suite", "lemma3", "--max-n", "2", "--out", str(records)]) == 0
+        assert strip(records.read_text()) == expected
+        assert main(["verify", "--suite", "lemma3", "--max-n", "2", "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        assert strip(out[out.rindex("PASS\n") + 5:]) == expected
+
     def test_over_cap_rejected(self, capsys):
         assert main(["verify", "--suite", "lemma2", "--max-n", "9"]) == 2
         assert "cap" in capsys.readouterr().err

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -27,6 +29,7 @@ from posetgames.verify import (
     DEFAULT_SEED,
     SUITES,
     SuiteConfig,
+    SuiteReport,
     _check_lemma,
     _run_unit,
     _units,
@@ -41,12 +44,23 @@ K2 = complete_graph(2)
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 
 
+def row(r):
+    """A result without its timing field."""
+    return (r.instance, r.verdict, r.states, r.detail)
+
+
+def run_unit(cfg, unit, psi_fn=psi, phi_fn=phi):
+    """The rows that ``_run_unit`` adds to a fresh report on ``unit``."""
+    report = SuiteReport(cfg)
+    _run_unit(report, psi_fn, phi_fn, unit)
+    return report.results
+
+
 def run_one(suite, instance, budget=verify.DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi):
     """``(instance, verdict, states, detail)`` of each result of ``_run_unit``
     on the one unit ``instance``, named "unit"."""
-    cfg = SuiteConfig(suite, budget=budget)
-    results = _run_unit(cfg, psi_fn, phi_fn, ("unit", 0, instance))
-    return [(r.instance, r.verdict, r.states, r.detail) for r in results]
+    results = run_unit(SuiteConfig(suite, budget=budget), ("unit", 0, instance), psi_fn, phi_fn)
+    return list(map(row, results))
 
 
 class TestLemma1Check:
@@ -164,7 +178,7 @@ class TestRunUnitAgainstFreshContext:
 
         real = verify._check_lemma
         monkeypatch.setattr(verify, "_check_lemma", spy)
-        runs = [(g, _run_unit(cfg, psi, phi, (name, gi, g))) for name, gi, g in units]
+        runs = [(g, run_unit(cfg, (name, gi, g))) for name, gi, g in units]
         monkeypatch.undo()
 
         cases = iter(seen)
@@ -314,6 +328,61 @@ class TestRunSuite:
         seq, par = run_suite(cfg), run_suite(replace(cfg, jobs=2))
         assert seq.results
         assert strip_millis(seq) == strip_millis(par)
+
+
+class TestReportColumns:
+    """A report stores its cases as columns and builds a row only when one is
+    read: rows must keep their names and details, and a report must stay
+    small."""
+
+    def test_memory_per_case(self):
+        run_suite(SuiteConfig("lemma3", max_n=1))  # imports and caches fill before tracing
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_suite(SuiteConfig("lemma3"))
+            for _ in report.results:
+                pass
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(report.results) == 13_088
+        assert kept <= 32 * len(report.results), f"{kept / len(report.results):.1f} bytes per case"
+
+    def test_inconclusive_rows_keep_names_and_details(self):
+        report = run_suite(SuiteConfig("lemma3", max_n=2, budget=1))
+        names = []
+        for n in (1, 2):
+            for gi, g in enumerate(enumerate_labeled_graphs(n)):
+                h = psi(g)
+                cases = sum((bits >> u & 1) + (bits >> v & 1) == 1
+                            for bits in range(1 << h.n) for u, v in h.edges)
+                names += [f"n={n}/g={gi}/case={k}" for k in range(cases)]
+        rows = list(report.results)
+        assert [r.instance for r in rows] == names
+        assert {(r.verdict, r.detail) for r in rows} == {("inconclusive", "budget exhausted")}
+        for i in (0, len(rows) // 2, len(rows) - 1):
+            assert report.results[i] == rows[i]
+            assert report.results[i - len(rows)] == rows[i]
+        assert report.failures == []
+        assert report.inconclusives == rows
+        assert not report.passed
+        assert report.states == sum(r.states for r in rows)
+
+    def test_failures_carry_the_graph(self):
+        report = run_suite(SuiteConfig("theorem", max_n=3), phi_fn=drop_one_low_relation)
+        rows = list(report.results)
+        assert report.failures
+        assert report.failures == [r for r in rows if r.verdict != "pass"]
+        assert report.inconclusives == []
+        graphs = {f"n={n}/g={gi}": g for n in (1, 2, 3) for gi, g in enumerate(enumerate_labeled_graphs(n))}
+        assert list(graphs) == [r.instance for r in rows]
+        for r in report.failures:
+            assert re.fullmatch(r"kayles=\w+ poset=\w+ on\n", r.detail.removesuffix(format_graph(graphs[r.instance])))
+        parallel = run_suite(SuiteConfig("theorem", max_n=3, jobs=2), phi_fn=drop_one_low_relation)
+        assert list(map(row, parallel.failures)) == list(map(row, report.failures))
 
 
 # SHA-256 of each suite's records at its default regime without the timing
