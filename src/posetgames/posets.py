@@ -201,18 +201,37 @@ class Poset:
         return f"Poset(m={self.m})"
 
 
+# Columns per block of ``transpose``: a multiple of 8, so a row's slice is
+# whole bytes.  Measured on one x86-64 CPU (CPython 3.11), 256 is as fast as
+# 384 or 512 from 220 elements to 10 000 and holds the least at once.
+_BLOCK = 256
+
+
 def transpose(m: int, rows: Sequence[int]) -> list[int]:
     """Columns of an m x m bit matrix: bit x of ``out[y]`` is bit y of ``rows[x]``.
 
-    Rows must have no bit at or above m.  The work is done on fixed-width
-    binary strings, so it runs in C rather than bit by bit; columns are
-    taken one at a time, so only one of them is held as a tuple.
+    Rows must have no bit at or above m; rows missing at the end count as
+    zero.  The columns are taken ``_BLOCK`` at a time, in C rather than bit
+    by bit.  Each row's slice of the block is cut to bytes, an eighth of the
+    room its binary digits would take.  The bytes of all rows are read as
+    one int and written out as one binary string, and each column of the
+    block is a strided slice of that string.  Only one block's text,
+    m * ``_BLOCK`` characters, is held at once.
     """
-    if not m:
-        return []
-    text = [format(row, f"0{m}b") for row in reversed(rows[:m])]
-    cols = [int("".join(col), 2) for col in zip(*text)]
-    cols.reverse()
+    rows = rows[:m]
+    if not rows:
+        return [0] * m
+    cols = []
+    for lo in range(0, m, _BLOCK):
+        w = min(_BLOCK, m - lo)
+        nbytes = (w + 7) >> 3
+        mask = (1 << w) - 1
+        # the leading 1 keeps the leading zeros of the first slice in the text
+        data = b"\1" + b"".join([(row >> lo & mask).to_bytes(nbytes, "big") for row in reversed(rows)])
+        text = format(int.from_bytes(data, "big"), "b")
+        width = nbytes * 8
+        # after the leading 1, bit lo + c of each row sits width - c digits in
+        cols += [int(text[width - c::width], 2) for c in range(w)]
     return cols
 
 

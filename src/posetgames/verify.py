@@ -221,7 +221,8 @@ class SuiteReport:
 
 class _Results(Sequence):
     """A read-only view of a report's cases as ``InstanceResult`` rows.  A row
-    is built each time it is read and never kept."""
+    is built each time it is read and never kept; a slice is a list of the
+    rows it selects, built on read."""
 
     __slots__ = ("_report",)
 
@@ -231,8 +232,10 @@ class _Results(Sequence):
     def __len__(self) -> int:
         return len(self._report._verdicts)
 
-    def __getitem__(self, i: int) -> InstanceResult:
+    def __getitem__(self, i: int | slice) -> InstanceResult | list[InstanceResult]:
         n = len(self)
+        if isinstance(i, slice):
+            return [self._report._case(k) for k in range(*i.indices(n))]
         if not -n <= i < n:
             raise IndexError("result index out of range")
         return self._report._case(i % n)

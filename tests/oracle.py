@@ -60,3 +60,9 @@ def naive_closure(m, pairs):
                 reach[x] |= reach[y]
                 changed = True
     return [sum(1 << y for y in row) for row in reach]
+
+
+def naive_transpose(m, rows):
+    """Columns of the m x m bit matrix ``rows``, read one bit at a time; a row
+    missing at the end counts as zero."""
+    return [sum((rows[x] >> y & 1) << x for x in range(min(m, len(rows)))) for y in range(m)]

@@ -371,6 +371,14 @@ class TestReportColumns:
         assert not report.passed
         assert report.states == sum(r.states for r in rows)
 
+    def test_slices_are_lists_of_rows(self):
+        results = run_suite(SuiteConfig("theorem", max_n=3)).results
+        rows = list(results)
+        assert len(rows) == 11  # the labeled graphs on 1, 2 and 3 vertices
+        for i, j, step in ((1, 3, None), (-5, None, None), (2, -1, 3), (None, None, -2), (-3, 2, -1), (7, 2, None)):
+            assert results[i:j:step] == rows[i:j:step]
+        assert results[:] == rows
+
     def test_failures_carry_the_graph(self):
         report = run_suite(SuiteConfig("theorem", max_n=3), phi_fn=drop_one_low_relation)
         rows = list(report.results)
