@@ -49,8 +49,10 @@ class MaskGame:
                 " holding its legal mask"
             )
         self.noun = noun
-        # the order the solver tries moves in: most-removing first, ties by index
-        self.order = tuple(sorted(zip(self.legal, self.kill), key=lambda lk: -lk[1].bit_count()))
+        # the moves in the order the solver tries them, most-removing first,
+        # ties by index, as (legal, keep): keep is ~kill, so a child is p & keep
+        order = sorted(zip(self.legal, self.kill), key=lambda lk: -lk[1].bit_count())
+        self.order = tuple([(legal, ~kill) for legal, kill in order])
 
     def initial(self) -> int:
         return (1 << self.size) - 1
@@ -142,34 +144,31 @@ class MaskGame:
         return partial(_nim_heap, self.links)
 
     @cached_property
-    def twins(self) -> tuple[tuple[int, int], ...]:
-        """``twins[k]``: ``(rows, loose)`` for the move ``order[k]``, built on
-        first use.
+    def twins(self) -> tuple[int, ...]:
+        """``twins[k]``: the twin key of the move ``order[k]``, built on first
+        use.  Two moves legal in a position p lead to children of the same
+        value when their keys agree within p: ``twins[i] & p == twins[j] & p``.
 
         In an element game (move x is legal iff x is in the position, and it
-        kills x: Kayles, the poset game) x has an out-row, the elements x
-        kills, and an in-row, the moves that kill x, both without x itself.
-        ``rows`` holds the out-row in its low ``size`` bits and the in-row
-        above them, so ``rows & (p | p << size)`` is the pair of rows within
-        a position p.  ``loose`` holds the elements that could be x's twin:
-        the others that are in neither row.
+        kills x: Kayles, the poset game) the key of x holds the elements
+        comparable to x, other than x: those x kills and those whose move
+        kills x.  In Kayles that is x's neighbourhood.  Let x != y in p have
+        keys that agree within p.  Then y is not comparable to x, or it would
+        be in its own key.  And each z of p comparable to both lies on the
+        same side of x as of y, since x < z < y would make x and y
+        comparable (in Kayles there is one side).  So x and y kill the same
+        other elements of p and are killed by the same other moves: swapping
+        them maps the kill mask of every move legal in p, within p, onto
+        that of its image.  That is an automorphism of p, so their children
+        have the same value.
 
-        Two elements of p are twins when their rows within p are equal.
-        Swapping them then maps the kill mask of every move legal in p,
-        within p, onto that of its image, so it is an automorphism of p and
-        their children have the same value.  Other rules get all-zero
-        entries: nothing is ever a twin there.
+        Other rules (set games) get their kill masks as keys: two moves whose
+        kill masks agree within p lead to the same child.
         """
         if not self._element_game:
-            return ((0, 0),) * len(self.order)
-        n = self.size
+            return tuple([~keep for _, keep in self.order])
         cols = self._cols
-        full = (1 << n) - 1
-        twins = []
-        for legal, kill in self.order:
-            out, inn = kill ^ legal, cols[legal.bit_length() - 1] ^ legal
-            twins.append((out | inn << n, full ^ (out | inn | legal)))
-        return tuple(twins)
+        return tuple([(~keep ^ legal) | (cols[legal.bit_length() - 1] ^ legal) for legal, keep in self.order])
 
     def components(self, pos: int) -> list[int]:
         """The connected components of ``pos``, lowest element first.

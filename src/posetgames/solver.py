@@ -27,17 +27,25 @@ components at every position cost more than the cutoff left to save.
 
 Win/loss search also skips twin moves.  In Kayles and the poset game two
 elements of a position are twins when each kills the same other elements
-of the position and is killed by the same other moves (``game.twins``):
-swapping them is then an automorphism of the position, so their children
-have the same value.  A move frame reaches its second legal move only when
-the first child was won, and so on, so a move whose twin was tried earlier
-in the same frame leads to a won child too and is skipped.  The frame keeps
-the keys (both rows within the position) of the moves it has tried, from
-its second legal move on, and only for moves that could have a twin in the
-position.  The paper's reduction is full of twins (``psi`` pads with
+of the position and is killed by the same other moves: swapping them is
+then an automorphism of the position, so their children have the same
+value.  One mask keys each move (``game.twins``): the elements comparable
+to its element, its neighbours in Kayles.  Two elements are twins exactly
+when their keys agree within the position, so a move costs one AND and one
+dict lookup.  A move frame reaches its second legal move only when the
+first child was won, and so on, so a move whose twin was tried earlier in
+the same frame leads to a won child too and is skipped.  The frame keeps
+the keys within its position of the moves it has tried, from its first
+legal move on.  The paper's reduction is full of twins (``psi`` pads with
 complete graphs, and ``phi`` gives vertices with equal neighbourhoods equal
 cones), so this cuts the states of ``verify --suite theorem --max-n 5``
-from 1 071 380 to 318 025.  Grundy search does not look for twins.
+from 1 071 380 to 318 025.  A set game keys a move by its kill mask, so it
+skips a set that meets the position in the same elements as one tried
+before: that leads to the same child, so it saves a table lookup, not a
+state.  The search fetches ``game.twins`` once, before its first move, and
+only if the root's frame can get past its first legal move: not when that
+move clears the root or shows it an antichain (below).  Grundy search does
+not look for twins.
 
 Win/loss search answers an antichain without searching it.  In Kayles and
 the poset game a position is an antichain when no move legal in it removes
@@ -151,13 +159,14 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
         # A move that clears the whole position shows it connected (and won)
         # without building game.links, which costs more than a small search.
         # An antichain is not split either: its move frame answers it at once.
-        for legal, kill in moves:
+        # Either way the root's frame tries no move after its first one.
+        for legal, keep in moves:
             if legal & pos:
                 break
         else:
-            legal, kill = None, pos  # no legal move: lost, and nothing to split
-        if (pos & ~kill and (kill & pos != legal or game.antichain_win(pos) is None)
-                and len(parts := game.components(pos)) > 1):
+            legal, keep = None, 0  # no legal move: lost, and nothing to split
+        searched = pos & keep and (pos & keep != pos ^ legal or game.antichain_win(pos) is None)
+        if searched and len(parts := game.components(pos)) > 1:
             grundy = True  # a sum is won iff its parts' Grundy values XOR to nonzero
             value = table.values.get(pos)
             if value is not None:
@@ -166,8 +175,6 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                 return value
     memo = table.values if grundy else table.wins
     n = len(moves)
-    twins = None  # game.twins, fetched when a win/loss frame first needs it
-    size = game.size
     hits = 0
     states = stats.states
     limit = sys.maxsize if stats.budget is None else stats.budget  # no budget: a bound never reached
@@ -176,11 +183,11 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     # Grundy mode ``seen`` is the bit mask of the child values so far, and a
     # sum frame (position, parts left or None before the split, XOR so far)
     # adds up the values of a position's parts.  In win/loss mode ``seen`` is
-    # None before the first legal move, then that move's place, then from
-    # the second legal move on a dict whose keys are the twin keys tried; an
-    # antichain is answered at its first legal move.  The loop hands a value
-    # to the top frame, then tries moves until it descends into a child or
-    # the position is solved.  The move loop is kept short: on CPython 3.11
+    # None before the first legal move, then a dict whose keys are the twin
+    # keys tried, within the position; an antichain is answered at its first
+    # legal move.  A child is ``p & keep``.  The loop hands a value to the top
+    # frame, then tries moves until it descends into a child or the position
+    # is solved.  The move loop is kept short: on CPython 3.11
     # a jump across a loop body beyond 255 code units carries an
     # EXTENDED_ARG, which every move pays, a few percent of a Grundy search
     # (``test_move_loop_jumps_without_extended_arg`` checks it).
@@ -195,7 +202,10 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                 raise BudgetExceeded(states)
             stack = [(pos, -1, None)]
             value = True  # a won child sends its parent on to the next move
-            antichain_win = game.antichain_win if pos & ~kill or pos == legal else None
+            antichain_win = game.antichain_win if pos & keep or pos == legal else None
+            # a root whose frame stops at its first move needs no game.twins,
+            # though a cleared root's frame still keys that move
+            twins = game.twins if searched else (0,) * n
         push = stack.append
         get = memo.get
         while True:
@@ -203,7 +213,6 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                 p, i, seen = stack.pop()
                 if not grundy:
                     if value:  # the child was won: back to this frame's next move
-                        pp = p | p << size  # cuts a move's twin key out of its rows
                         break
                     value = memo[p] = True
                 elif type(i) is int:
@@ -238,28 +247,21 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                     value = table.wins[pos] = value != 0
                 return value
             while (i := i + 1) < n:
-                legal, kill = moves[i]
+                legal, keep = moves[i]
                 if not legal & p:
                     continue
                 if not grundy:
                     if seen is not None:  # every move tried here so far led to a won child
-                        if seen.__class__ is int:  # the second legal move: key the first
-                            if twins is None:
-                                twins = game.twins
-                            pp = p | p << size
-                            seen = {twins[seen][0] & pp: None}
-                        rows, loose = twins[i]
-                        if loose & p:
-                            key = rows & pp
-                            if key in seen:
-                                continue  # a twin of a move tried here: won too
-                            seen[key] = None
-                    elif kill & p == legal and (value := antichain_win(p)) is not None:
+                        key = twins[i] & p
+                        if key in seen:
+                            continue  # a twin of a move tried here: won too
+                        seen[key] = None
+                    elif p & keep == p ^ legal and (value := antichain_win(p)) is not None:
                         memo[p] = value  # an antichain: won iff its size is odd
                         break
                     else:
-                        seen = i
-                c = p & ~kill
+                        seen = {twins[i] & p: None}
+                c = p & keep
                 v = get(c)
                 if v is None:
                     push((p, i, seen))

@@ -689,18 +689,63 @@ class TestTwins:
         assert solve_winner(game, 0b0111, table=table) is GameValue.WIN
         assert_wins_stored_right(game, table)
 
-    def test_rows_of_an_element_game(self):
+    def test_keys_of_an_element_game(self):
+        # 0 < 2 < 3 and 1 < 3: a key holds the elements comparable to its move's element
         game = PosetGame(Poset.from_pairs(4, [(0, 2), (2, 3), (1, 3)]))
-        size = game.size
-        for (legal, kill), (rows, loose) in zip(game.order, game.twins):
-            x = legal.bit_length() - 1
-            below = sum(1 << a for a in range(size) if a != x and game.kill[a] >> x & 1)
-            assert rows == (kill ^ legal) | below << size
-            assert loose == sum(1 << y for y in range(size) if not (kill | below | legal) >> y & 1)
+        keys = {legal.bit_length() - 1: key for (legal, _), key in zip(game.order, game.twins)}
+        assert keys == {0: 0b1100, 1: 0b1000, 2: 0b1001, 3: 0b0111}
+        assert [~keep for _, keep in game.order] == [game.kill[x] for x in (0, 1, 2, 3)]
 
-    def test_set_game_has_no_twins(self):
+    def test_kayles_keys_are_neighbourhoods(self):
+        game = KaylesGame(C8)
+        assert game.twins == tuple(kill ^ legal for legal, kill in zip(game.legal, game.kill))
+
+    def test_set_game_keys_are_kill_masks(self):
         game = SetGameRules(SetGame(3, (frozenset({0, 1}), frozenset({2}), frozenset({2}))))
-        assert game.twins == ((0, 0),) * 3
+        assert game.order == ((0b011, ~0b011), (0b100, ~0b100), (0b100, ~0b100))
+        assert game.twins == (0b011, 0b100, 0b100)
+
+    def test_set_moves_meeting_the_position_alike(self):
+        # in {0, 1, 2} the sets {1, 2, 3} and {1, 2} both remove {1, 2}, so
+        # once the first has led to a won child the second is skipped, not
+        # looked up: 2 table hits without the skip
+        sets = [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({1, 2})]
+        game = SetGameRules(SetGame(4, tuple(sets)))
+        table, stats = TranspositionTable(), SearchStats()
+        assert solve_winner(game, 0b0111, table, stats=stats) is outcome(
+            naive_setgame_grundy(sets, frozenset({0, 1, 2})))
+        assert (stats.states, table.hits) == (4, 1)
+        assert_wins_stored_right(game, table)
+
+    @given(st.integers(1, 5), st.floats(0, 1), st.integers(0, 99), st.lists(st.integers(0, 99), max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_poset_keys_agree_as_rows_do(self, m, density, seed, picks):
+        assert_keys_agree_as_rows_do(PosetGame(with_poset_twins(random_poset(m, density, seed), picks)))
+
+    @given(small_graph(5), st.lists(st.integers(0, 99), max_size=2), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_kayles_keys_agree_as_rows_do(self, g, picks, adjacent):
+        if g.n:
+            g = with_graph_twins(g, picks, adjacent)
+        assert_keys_agree_as_rows_do(KaylesGame(g))
+
+
+def assert_keys_agree_as_rows_do(game):
+    """In every position p, two elements x != y of p have keys that agree
+    within p exactly when they are twins by their rows: each kills the same
+    other elements of p, each is killed by the same other moves of p, and y
+    is in neither row of x."""
+    size = game.size
+    key = {legal.bit_length() - 1: k for (legal, _), k in zip(game.order, game.twins)}
+    out = [kill ^ 1 << x for x, kill in enumerate(game.kill)]
+    inn = [sum(1 << a for a in range(size) if a != x and game.kill[a] >> x & 1) for x in range(size)]
+    for p in range(1 << size):
+        for x in mask_to_sorted(p):
+            for y in mask_to_sorted(p):
+                if x != y:
+                    rows = out[x] & p == out[y] & p and inn[x] & p == inn[y] & p
+                    rows = rows and not (out[x] | inn[x]) >> y & 1
+                    assert (key[x] & p == key[y] & p) == rows, (p, x, y)
 
 
 @pytest.fixture
@@ -752,6 +797,14 @@ class TestTransposes:
         assert game.__dict__["_element_game"] is True  # known when the game is built
         assert solve_winner(game) is GameValue.WIN
         assert not {"antichain_win", "_cols", "links", "twins"} & set(game.__dict__)
+        assert transposes == []
+
+    @pytest.mark.parametrize("k", [1, 2, 300])
+    def test_antichain_root_builds_no_twins(self, transposes, k):
+        # its frame answers it by parity at the first legal move
+        game = PosetGame(antichain(k))
+        assert solve_winner(game) is outcome(k % 2)
+        assert not {"_cols", "links", "twins"} & set(game.__dict__)
         assert transposes == []
 
     def test_empty_game(self):
