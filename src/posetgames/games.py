@@ -79,25 +79,20 @@ class MaskGame:
         return f"{self.noun} {i}"
 
     @cached_property
-    def _cols(self) -> tuple[int, ...]:
-        """The transpose of ``kill``: bit x of ``_cols[y]`` is set iff move x
-        kills y.  Built on first use, unless the rules came with it."""
-        return tuple(transpose(self.size, self.kill))
-
-    @cached_property
     def links(self) -> tuple[int, ...]:
         """``links[e]``: the elements linked to e, built on first use.
 
         Only moves whose legal mask holds e count.  A move that merely kills
         e says nothing once e is gone; in Kayles it would link the two ends
         of a path through a deleted middle vertex.  In an element game e is
-        linked to what its move kills and to the moves that kill it.  The
-        tuple is built from a list: a tuple built from an iterator is resized
-        as it grows, and once freed it stays on CPython's tuple free list,
-        about 0.2 MB over the ``lemma1`` suite.
+        linked to what its move kills and to the moves that kill it: row e of
+        ``kill`` OR of its transpose, unless the rules came with the rows
+        (``KaylesGame``, ``PosetGame``).  The tuple is built from a list: a
+        tuple built from an iterator is resized as it grows, and once freed
+        it stays on CPython's tuple free list, about 0.2 MB over ``lemma1``.
         """
         if self._element_game:
-            return tuple([*map(or_, self.kill, self._cols)])
+            return tuple([*map(or_, self.kill, transpose(self.size, self.kill))])
         links = [0] * self.size
         for legal, kill in zip(self.legal, self.kill):
             reach = legal | kill
@@ -150,8 +145,8 @@ class MaskGame:
         value when their keys agree within p: ``twins[i] & p == twins[j] & p``.
 
         In an element game (move x is legal iff x is in the position, and it
-        kills x: Kayles, the poset game) the key of x holds the elements
-        comparable to x, other than x: those x kills and those whose move
+        kills x: Kayles, the poset game) the key of x is ``links[x]`` without
+        x: the elements comparable to x, those x kills and those whose move
         kills x.  In Kayles that is x's neighbourhood.  Let x != y in p have
         keys that agree within p.  Then y is not comparable to x, or it would
         be in its own key.  And each z of p comparable to both lies on the
@@ -167,8 +162,8 @@ class MaskGame:
         """
         if not self._element_game:
             return tuple([~keep for _, keep in self.order])
-        cols = self._cols
-        return tuple([(~keep ^ legal) | (cols[legal.bit_length() - 1] ^ legal) for legal, keep in self.order])
+        links = self.links
+        return tuple([links[legal.bit_length() - 1] ^ legal for legal, _ in self.order])
 
     def components(self, pos: int) -> list[int]:
         """The connected components of ``pos``, lowest element first.
@@ -234,20 +229,20 @@ def KaylesGame(graph: Graph) -> MaskGame:
         nbhd[v] |= 1 << u
     game = MaskGame(graph.n, single, nbhd, "vertex")
     game._element_game = True
-    game._cols = game.kill  # closed neighbourhoods are symmetric
+    game.links = game.kill  # closed neighbourhoods are symmetric
     return game
 
 
 def PosetGame(poset: Poset) -> MaskGame:
     """Poset game: a move removes a chosen element and everything above it.
 
-    The game reads the poset's lower cones as its kill transpose when the
-    poset holds them already, and never builds them."""
+    When the poset holds its lower cones already (a ``phi`` image), the game
+    ORs them into its comparability rows ``links`` and transposes nothing."""
     game = MaskGame(poset.m, [1 << x for x in range(poset.m)], poset.up, "element")
     game._element_game = True
     game._poset = True
     if poset._down is not None:
-        game._cols = poset._down
+        game.links = tuple([*map(or_, poset.up, poset._down)])
     return game
 
 

@@ -13,8 +13,8 @@ on the search stack is reported as a cycle.  The lower cones ``down`` are
 the transpose of ``up``.  They may come from whoever built the poset, when
 it knows them anyway (``phi`` writes both in closed form), and are otherwise
 built on first use: the reductions, the solver and the cover relation read
-only ``up``, and the poset game takes ``down`` as its kill transpose only
-when the poset holds it already.
+only ``up``, and the poset game ORs ``down`` into its comparability rows
+only when the poset holds it already.
 """
 
 from __future__ import annotations

@@ -187,10 +187,12 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     # keys tried, within the position; an antichain is answered at its first
     # legal move.  A child is ``p & keep``.  The loop hands a value to the top
     # frame, then tries moves until it descends into a child or the position
-    # is solved.  The move loop is kept short: on CPython 3.11
-    # a jump across a loop body beyond 255 code units carries an
-    # EXTENDED_ARG, which every move pays, a few percent of a Grundy search
-    # (``test_move_loop_jumps_without_extended_arg`` checks it).
+    # is solved.  The move loop is kept short: on CPython 3.11 to 3.13 a
+    # jump across a loop body beyond 255 code units carries an EXTENDED_ARG,
+    # which every move pays, a few percent of a Grundy search
+    # (``test_move_loop_jumps_without_extended_arg`` checks it).  So a solve
+    # leaves by one exit, after the ``finally``: a ``return`` inside the
+    # ``try`` would get its own copy of the ``finally`` block, in the loop.
     try:
         if grundy:  # a split win/loss root's parts are known already
             stack = [(pos, None if want_grundy else iter(parts), 0)]
@@ -243,9 +245,7 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                     p, i, seen = part, -1, 0
                     break
             else:
-                if grundy != want_grundy:
-                    value = table.wins[pos] = value != 0
-                return value
+                break
             while (i := i + 1) < n:
                 legal, keep = moves[i]
                 if not legal & p:
@@ -284,6 +284,9 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     finally:
         table.hits += hits
         stats.states = states
+    if grundy != want_grundy:
+        value = table.wins[pos] = value != 0
+    return value
 
 
 def _win(game, pos: int, table: TranspositionTable, stats: SearchStats) -> bool:

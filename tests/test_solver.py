@@ -26,7 +26,9 @@ from posetgames import (
     complete_graph,
     disjoint_union,
     enumerate_labeled_graphs,
+    format_poset,
     grundy,
+    parse_poset,
     phi,
     poset_to_setgame,
     psi,
@@ -397,20 +399,21 @@ class TestChains:
 
 
 @pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-    reason="counts CPython 3.11 code units",
+    sys.implementation.name != "cpython" or not (3, 11) <= sys.version_info[:2] <= (3, 13),
+    reason="counts the code units of CPython's relative jumps, 3.11 to 3.13",
 )
 def test_move_loop_jumps_without_extended_arg():
     # The loop test jumps over the whole body when the loop ends, and back
     # from its end, and each ``continue`` jumps back to it.  A jump of more
     # than 255 code units carries an EXTENDED_ARG, which every move of every
-    # search pays.
+    # search pays.  (CPython 3.10 jumps backward to absolute offsets.)
     lines, first = inspect.getsourcelines(solver._solve)
     loop = first + next(k for k, line in enumerate(lines) if re.fullmatch(r"while .* < n:", line.strip()))
     code = list(dis.get_instructions(solver._solve))
     line_at, line = {}, None
     for ins in code:
-        line = ins.starts_line or line
+        if ins.starts_line:  # from 3.13 a bool, with the line in line_number
+            line = ins.line_number if sys.version_info >= (3, 13) else ins.starts_line
         line_at[ins.offset] = line
     jumps = [ins for ins in code if ins.opcode in dis.hasjrel and loop in (line_at[ins.offset], line_at[ins.argval])]
     assert any(ins.opname == "JUMP_BACKWARD" for ins in jumps)
@@ -765,8 +768,8 @@ def transposes(monkeypatch):
 
 class TestTransposes:
     """A game transposes its kill masks at most once, and not at all when its
-    source knows the transpose: ``phi`` writes the lower cones, and Kayles
-    neighbourhoods are symmetric."""
+    source knows its comparability rows ``links``: ``phi`` writes the lower
+    cones, and Kayles neighbourhoods are symmetric."""
 
     C5 = Graph.of(5, [(i, (i + 1) % 5) for i in range(5)])
 
@@ -776,15 +779,16 @@ class TestTransposes:
         game = PosetGame(image.poset)
         assert solve_winner(game) is solve_winner(KaylesGame(g))
         assert "links" in game.__dict__ and "twins" in game.__dict__
-        assert game._cols is image.poset.down
+        poset = image.poset
+        assert game.links == tuple(up | down for up, down in zip(poset.up, poset.down))
         assert transposes == []
 
     def test_kayles_win_loss(self, transposes):
         game = KaylesGame(self.C5)
         assert solve_winner(game) is GameValue.LOSS
         assert "links" in game.__dict__ and "twins" in game.__dict__
+        assert game.links is game.kill
         assert transposes == []
-        assert game._cols == tuple(posets.transpose(5, game.kill))
 
     def test_grundy_on_chain_sum_transposes_once(self, transposes):
         game = PosetGame(Poset.from_pairs(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
@@ -796,7 +800,7 @@ class TestTransposes:
         game = PosetGame(chain(1500))
         assert game.__dict__["_element_game"] is True  # known when the game is built
         assert solve_winner(game) is GameValue.WIN
-        assert not {"antichain_win", "_cols", "links", "twins"} & set(game.__dict__)
+        assert not {"antichain_win", "links", "twins"} & set(game.__dict__)
         assert transposes == []
 
     @pytest.mark.parametrize("k", [1, 2, 300])
@@ -804,7 +808,7 @@ class TestTransposes:
         # its frame answers it by parity at the first legal move
         game = PosetGame(antichain(k))
         assert solve_winner(game) is outcome(k % 2)
-        assert not {"_cols", "links", "twins"} & set(game.__dict__)
+        assert not {"links", "twins"} & set(game.__dict__)
         assert transposes == []
 
     def test_empty_game(self):
@@ -812,3 +816,30 @@ class TestTransposes:
         assert solve_winner(game) is GameValue.LOSS
         assert "antichain_win" not in game.__dict__
         assert grundy(game) == 0
+
+    @given(small_graph(7))
+    @settings(max_examples=40, deadline=None)
+    def test_kayles_links_and_keys(self, g):
+        near = [1 << v for v in range(g.n)]
+        for u, v in g.edges:
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+        assert_links_and_keys(KaylesGame(g), near)
+
+    @given(st.integers(0, 7), st.floats(0, 1), st.integers(0, 99), small_graph(4))
+    @settings(max_examples=40, deadline=None)
+    def test_poset_links_and_keys(self, m, density, seed, g):
+        """Parsed posets build their rows from the kill masks, ``phi`` images
+        from the lower cones they come with."""
+        for poset in parse_poset(format_poset(random_poset(m, density, seed))), phi(g).poset:
+            up = poset.up
+            near = [sum(1 << y for y in range(poset.m) if up[x] >> y & 1 or up[y] >> x & 1) for x in range(poset.m)]
+            assert_links_and_keys(PosetGame(poset), near)
+
+
+def assert_links_and_keys(game, near):
+    """``links[x]`` is ``near[x]``, x's comparable set with x, and the twin key
+    of each move x in ``game.order`` is that set without x."""
+    assert game.links == tuple(near)
+    for (legal, _), key in zip(game.order, game.twins):
+        assert key == game.links[legal.bit_length() - 1] ^ legal
