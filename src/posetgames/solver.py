@@ -38,14 +38,12 @@ the same frame leads to a won child too and is skipped.  The frame keeps
 the keys within its position of the moves it has tried, from its first
 legal move on.  The paper's reduction is full of twins (``psi`` pads with
 complete graphs, and ``phi`` gives vertices with equal neighbourhoods equal
-cones), so this cuts the states of ``verify --suite theorem --max-n 5``
-from 1 071 380 to 318 025.  A set game keys a move by its kill mask, so it
-skips a set that meets the position in the same elements as one tried
-before: that leads to the same child, so it saves a table lookup, not a
-state.  The search fetches ``game.twins`` once, before its first move, and
-only if the root's frame can get past its first legal move: not when that
-move clears the root or shows it an antichain (below).  Grundy search does
-not look for twins.
+cones).  A set game keys a move by its kill mask, so it skips a set that
+meets the position in the same elements as one tried before: that leads to
+the same child, so it saves a table lookup, not a state.  The search
+fetches ``game.twins`` once, before its first move, and only if the root's
+frame can get past its first legal move: not when that move clears the root
+or shows it an antichain (below).  Grundy search does not look for twins.
 
 Win/loss search answers an antichain without searching it.  In Kayles and
 the poset game a position is an antichain when no move legal in it removes
@@ -62,8 +60,8 @@ which costs a pass over the rules.  Like twin-ness, the rule is local: it
 reads only the kill masks within the position, so a checker that sees only
 the masks can test it too.  Set games keep their search.  In the paper's
 three-level poset the vertex and edge levels are antichains, so late
-positions often are too: the rule cuts ``theorem --max-n 5`` further to
-260 864 states.
+positions often are too.  With both rules ``verify --suite theorem
+--max-n 5`` searches 260 864 states.
 
 Grundy search answers a chain of the poset game without searching it.  A
 part whose elements are pairwise comparable is a chain, and a move at its
@@ -75,8 +73,7 @@ against the budget, so the answer counts as one state.  Only rules built by
 partial order, and a Kayles clique is worth *1, not *k.  Set games keep
 their search, as with antichains.  Only Grundy search fetches the test, so
 a win/loss search that does not split its root never builds it.  Two
-disjoint reversed chains of 120 and 100 elements took 220 states and now
-take 2.
+disjoint reversed chains of 120 and 100 elements take 2 states.
 """
 
 from __future__ import annotations
@@ -183,9 +180,9 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     # Grundy mode ``seen`` is the bit mask of the child values so far, and a
     # sum frame (position, parts left or None before the split, XOR so far)
     # adds up the values of a position's parts.  In win/loss mode ``seen`` is
-    # None before the first legal move, then a dict whose keys are the twin
-    # keys tried, within the position; an antichain is answered at its first
-    # legal move.  A child is ``p & keep``.  The loop hands a value to the top
+    # a dict whose keys are the twin keys tried, within the position: empty
+    # until the frame's first legal move, which is where an antichain is
+    # answered.  A child is ``p & keep``.  The loop hands a value to the top
     # frame, then tries moves until it descends into a child or the position
     # is solved.  The move loop is kept short: on CPython 3.11 to 3.13 a
     # jump across a loop body beyond 255 code units carries an EXTENDED_ARG,
@@ -193,6 +190,9 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     # (``test_move_loop_jumps_without_extended_arg`` checks it).  So a solve
     # leaves by one exit, after the ``finally``: a ``return`` inside the
     # ``try`` would get its own copy of the ``finally`` block, in the loop.
+    # For the same reason a Grundy pop tests for a sum frame first: a move
+    # frame's ``break`` into the loop then crosses none of the sum-frame
+    # code, which can grow without moving a jump of the loop.
     try:
         if grundy:  # a split win/loss root's parts are known already
             stack = [(pos, None if want_grundy else iter(parts), 0)]
@@ -202,7 +202,7 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
             states += 1
             if states > limit:
                 raise BudgetExceeded(states)
-            stack = [(pos, -1, None)]
+            stack = [(pos, -1, {})]
             value = True  # a won child sends its parent on to the next move
             antichain_win = game.antichain_win if pos & keep or pos == legal else None
             # a root whose frame stops at its first move needs no game.twins,
@@ -213,54 +213,50 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
         while True:
             while stack:
                 p, i, seen = stack.pop()
-                if not grundy:
-                    if value:  # the child was won: back to this frame's next move
+                if grundy:
+                    if type(i) is not int:  # a sum frame: XOR the value in, then find an unsolved part
+                        if i is None:  # a new frame: split its position first
+                            i = iter(game.components(p))
+                        else:
+                            seen ^= value
+                        for part in i:
+                            v = get(part)
+                            if v is None:
+                                break
+                            hits += 1
+                            seen ^= v
+                        else:
+                            value = memo[p] = seen
+                            continue
+                        states += 1
+                        if states > limit:
+                            raise BudgetExceeded(states)
+                        if part != p:  # a connected position is its only part: nothing to add up
+                            push((p, i, seen))
+                        if v := nim_heap(part):  # a chain: the frame below adds its value
+                            value = memo[part] = v
+                            continue
+                        p, i, seen = part, -1, 0
                         break
-                    value = memo[p] = True
-                elif type(i) is int:
                     seen |= 1 << value
                     break
-                else:  # a sum frame: XOR the value in, then find an unsolved part
-                    if i is None:  # a new frame: split its position first
-                        i = iter(game.components(p))
-                    else:
-                        seen ^= value
-                    for part in i:
-                        v = get(part)
-                        if v is None:
-                            break
-                        hits += 1
-                        seen ^= v
-                    else:
-                        value = memo[p] = seen
-                        continue
-                    states += 1
-                    if states > limit:
-                        raise BudgetExceeded(states)
-                    if part != p:  # a connected position is its only part: nothing to add up
-                        push((p, i, seen))
-                    if v := nim_heap(part):  # a chain: the frame below adds its value
-                        value = memo[part] = v
-                        continue
-                    p, i, seen = part, -1, 0
+                if value:  # the child was won: back to this frame's next move
                     break
+                value = memo[p] = True
             else:
                 break
             while (i := i + 1) < n:
                 legal, keep = moves[i]
                 if not legal & p:
                     continue
-                if not grundy:
-                    if seen is not None:  # every move tried here so far led to a won child
-                        key = twins[i] & p
-                        if key in seen:
-                            continue  # a twin of a move tried here: won too
-                        seen[key] = None
-                    elif p & keep == p ^ legal and (value := antichain_win(p)) is not None:
+                if not grundy:  # every move tried here so far led to a won child
+                    key = twins[i] & p
+                    if key in seen:
+                        continue  # a twin of a move tried here: won too
+                    if not seen and p & keep == p ^ legal and (value := antichain_win(p)) is not None:
                         memo[p] = value  # an antichain: won iff its size is odd
                         break
-                    else:
-                        seen = {twins[i] & p: None}
+                    seen[key] = None
                 c = p & keep
                 v = get(c)
                 if v is None:
@@ -271,7 +267,7 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                     states += 1
                     if states > limit:
                         raise BudgetExceeded(states)
-                    p, i, seen = c, -1, None
+                    p, i, seen = c, -1, {}
                     continue
                 hits += 1
                 if grundy:
@@ -287,10 +283,6 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     if grundy != want_grundy:
         value = table.wins[pos] = value != 0
     return value
-
-
-def _win(game, pos: int, table: TranspositionTable, stats: SearchStats) -> bool:
-    return _solve(game, pos, table, None, stats, False)
 
 
 def solve_winner(
@@ -330,6 +322,6 @@ def best_move(
         table = TranspositionTable()
     stats = SearchStats(budget=budget)
     for mv in moves:
-        if not _win(game, game.child(pos, mv), table, stats):
+        if not _solve(game, game.child(pos, mv), table, None, stats, False):
             return mv
     return None

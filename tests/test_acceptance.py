@@ -11,14 +11,15 @@ from posetgames import (
     PosetGame,
     disjoint_union,
     enumerate_labeled_graphs,
+    GameValue,
     grundy,
     phi,
     psi,
     random_poset,
     SearchStats,
+    solve_winner,
     TranspositionTable,
 )
-from posetgames.solver import _win
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
 
 from oracle import naive_kayles_grundy, naive_poset_grundy
@@ -91,7 +92,7 @@ def test_criterion_6_solver_self_consistency():
             stats = SearchStats()
             grundy(game, table=gtable, stats=stats)
             for pos, value in gtable.values.items():
-                if (value == 0) != (not _win(game, pos, wtable, stats)):
+                if (value == 0) != (solve_winner(game, pos, wtable, stats=stats) is GameValue.LOSS):
                     mismatches += 1
             checked += len(gtable.values)
     enough = checked >= 10_000

@@ -194,10 +194,12 @@ class TestReduce:
     def test_poset_to_setgame_nested(self, tmp_path):
         src = tmp_path / "c3.poset"
         src.write_text(format_poset(chain(3)))
-        out = tmp_path / "c3.sets"
-        assert main(["reduce", str(src), "--from", "poset", "--to", "setgame", "--out", str(out)]) == 0
+        out, dot = tmp_path / "c3.sets", tmp_path / "c3.dot"
+        assert main(["reduce", str(src), "--from", "poset", "--to", "setgame",
+                     "--out", str(out), "--dot", str(dot)]) == 0
         s = parse_setgame(out.read_text())
         assert s.sets == (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}))
+        assert re.findall(r"\d+ -> \d+", dot.read_text()) == ["0 -> 1", "1 -> 2"]  # the cover pairs
 
     def test_poset_to_setgame_writes_upper_cones(self, tmp_path):
         p = random_poset(240, 0.05, 11)
@@ -307,6 +309,11 @@ class TestPlay:
         out = capsys.readouterr().out
         assert "engine plays vertex 2" in out or "engine plays vertex 3" in out
         assert "engine wins" in out
+        # moving first, the engine is lost and plays the first move there is
+        feed = iter(["2"])
+        assert main(["play", "--game", "kayles", "--engine-first", k2k2_file]) == 0
+        out = capsys.readouterr().out
+        assert "engine plays vertex 0" in out and "you win" in out
 
     def test_illegal_move_reprompts(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "a1.poset"

@@ -211,6 +211,12 @@ class TestSetGameFormat:
         with pytest.raises(FormatError):
             parse_setgame("2 2\n0\n")
 
+    def test_extra_rows(self):
+        # blank lines past the k-th set are ignored, a set line is not
+        assert parse_setgame("1 2\n0\n\n").masks == (0b1,)
+        with pytest.raises(FormatError, match="line 4: more than 1 set lines"):
+            parse_setgame("1 2\n0\n\n1\n")
+
 
 def test_links_per_rule_set():
     assert KaylesGame(P3).links == (0b011, 0b111, 0b110)  # closed neighbourhoods

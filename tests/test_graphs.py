@@ -113,6 +113,8 @@ class TestEnumeration:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="vertex count must be non-negative"):
             next(enumerate_labeled_graphs(-1))
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Graph(-1, frozenset())
 
     def test_roundtrip_through_text(self):
         for g in enumerate_labeled_graphs(4):
@@ -245,6 +247,7 @@ class TestFormat:
     def test_comments_and_blanks(self):
         g = parse_graph("# a triangle\n3\n\n0 1\n1 2\n# done\n0 2\n")
         assert g == complete_graph(3)
+        assert parse_poset("# a chain\n3\n0 1\n\n1 2\n").up == (0b111, 0b110, 0b100)
 
     def test_duplicate_edge(self):
         with pytest.raises(FormatError, match="line 4"):

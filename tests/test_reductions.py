@@ -77,6 +77,9 @@ class TestPhi:
         b0, b1 = image.b_of_vertex(0), image.b_of_vertex(1)
         c = image.c_elements()[image.edge_order.index((0, 1))]
         assert nontrivial == {(b0, c), (b1, c)}
+        for v in (-1, 2):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                image.b_of_vertex(v)
 
     def test_k3_low_copies(self):
         image = phi(complete_graph(3))

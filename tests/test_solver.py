@@ -1,7 +1,6 @@
 import dis
 import inspect
 import random
-import re
 import sys
 from functools import reduce
 from operator import xor
@@ -406,9 +405,13 @@ def test_move_loop_jumps_without_extended_arg():
     # The loop test jumps over the whole body when the loop ends, and back
     # from its end, and each ``continue`` jumps back to it.  A jump of more
     # than 255 code units carries an EXTENDED_ARG, which every move of every
-    # search pays.  (CPython 3.10 jumps backward to absolute offsets.)
+    # search pays.  (CPython 3.10 jumps backward to absolute offsets.)  A
+    # popped frame enters the loop by a forward jump from the pop dispatch,
+    # across the dispatch code below it.  Those jumps stay within 64 units,
+    # so the sum-frame code cannot move back between the pop and the loop.
     lines, first = inspect.getsourcelines(solver._solve)
-    loop = first + next(k for k, line in enumerate(lines) if re.fullmatch(r"while .* < n:", line.strip()))
+    loop = first + next(k for k, line in enumerate(lines) if line.strip() == "while (i := i + 1) < n:")
+    pop = first + next(k for k, line in enumerate(lines) if line.strip() == "p, i, seen = stack.pop()")
     code = list(dis.get_instructions(solver._solve))
     line_at, line = {}, None
     for ins in code:
@@ -418,6 +421,9 @@ def test_move_loop_jumps_without_extended_arg():
     jumps = [ins for ins in code if ins.opcode in dis.hasjrel and loop in (line_at[ins.offset], line_at[ins.argval])]
     assert any(ins.opname == "JUMP_BACKWARD" for ins in jumps)
     assert max(ins.arg for ins in jumps) <= 255, [(ins.opname, ins.arg) for ins in jumps]
+    resumes = [ins for ins in jumps if pop < line_at[ins.offset] < loop and ins.argval > ins.offset]
+    assert len(resumes) >= 3  # from a sum frame, a Grundy move frame and a win/loss move frame
+    assert max(ins.arg for ins in resumes) <= 64, [(ins.opname, ins.arg, line_at[ins.offset] - first) for ins in resumes]
 
 
 def reversed_chains(*lengths):

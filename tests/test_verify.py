@@ -282,7 +282,7 @@ class TestRunSuite:
             run_suite(SuiteConfig(suite=suite, max_n=max_n))
 
     @pytest.mark.parametrize("field, value", [
-        ("max_n", 0), ("max_n", -2), ("random_posets", -1), ("max_poset_elements", 0),
+        ("max_n", 0), ("max_n", -2), ("random_posets", -1), ("max_poset_elements", 0), ("jobs", 0),
     ])
     def test_vacuous_regime_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -321,6 +321,14 @@ class TestRunSuite:
         assert text.startswith("suite: theorem")
         assert text.rstrip().endswith("PASS")
         assert f"seed={DEFAULT_SEED}" in text
+        # a case that did not pass gets a line of its own, with its detail
+        text = run_suite(SuiteConfig(suite="theorem", max_n=2, budget=1)).to_text()
+        assert text.splitlines()[-4:] == [
+            "INCONCLUSIVE n=1/g=0: budget exhausted",
+            "INCONCLUSIVE n=2/g=0: budget exhausted",
+            "INCONCLUSIVE n=2/g=1: budget exhausted",
+            "FAIL",
+        ]
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_jobs_match_sequential(self, suite):
@@ -366,6 +374,9 @@ class TestReportColumns:
         for i in (0, len(rows) // 2, len(rows) - 1):
             assert report.results[i] == rows[i]
             assert report.results[i - len(rows)] == rows[i]
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                report.results[i]
         assert report.failures == []
         assert report.inconclusives == rows
         assert not report.passed
@@ -389,6 +400,8 @@ class TestReportColumns:
         assert list(graphs) == [r.instance for r in rows]
         for r in report.failures:
             assert re.fullmatch(r"kayles=\w+ poset=\w+ on\n", r.detail.removesuffix(format_graph(graphs[r.instance])))
+        text = report.to_text()
+        assert all(f"FAIL {r.instance}: {r.detail}" in text for r in report.failures)
         parallel = run_suite(SuiteConfig("theorem", max_n=3, jobs=2), phi_fn=drop_one_low_relation)
         assert list(map(row, parallel.failures)) == list(map(row, report.failures))
 
