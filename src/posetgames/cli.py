@@ -44,9 +44,7 @@ def _load_game(path: str, game: str):
         return KaylesGame(parse_graph(text))
     if game == "poset":
         return PosetGame(parse_poset(text))
-    if game == "setgame":
-        return SetGameRules(parse_setgame(text))
-    raise ValueError(f"unknown game {game!r}")
+    return SetGameRules(parse_setgame(text))  # --game is an argparse choice of the three
 
 
 def _write(path: str | None, text):
@@ -210,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes, for any suite; the report is the same. On 2 CPUs a pool halves"
-        " theorem --max-n 5, saves a quarter on lemma4 and slows psi, whose units are tiny",
+        help="worker processes, for any suite; the report is the same. At most one per CPU is"
+        " started, and none on one CPU. On 2 CPUs a pool halves theorem --max-n 5, saves a"
+        " quarter on lemma4 and slows psi, whose units are tiny",
     )
     p.add_argument("--out", default=None, help="write per-instance JSON records here")
     p.set_defaults(fn=cmd_verify)

@@ -193,6 +193,10 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     # For the same reason a Grundy pop tests for a sum frame first: a move
     # frame's ``break`` into the loop then crosses none of the sum-frame
     # code, which can grow without moving a jump of the loop.
+    # A budget overrun in the loops takes the one exit too: it sets ``stack =
+    # None``, which ends the pop loop, and the solve raises after the
+    # ``finally``, so the loops hold no raise.  A sum frame's overrun must
+    # ``continue``: a ``break`` there would enter the move loop.
     try:
         if grundy:  # a split win/loss root's parts are known already
             stack = [(pos, None if want_grundy else iter(parts), 0)]
@@ -230,7 +234,8 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                             continue
                         states += 1
                         if states > limit:
-                            raise BudgetExceeded(states)
+                            stack = None
+                            continue
                         if part != p:  # a connected position is its only part: nothing to add up
                             push((p, i, seen))
                         if v := nim_heap(part):  # a chain: the frame below adds its value
@@ -266,7 +271,8 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                         break
                     states += 1
                     if states > limit:
-                        raise BudgetExceeded(states)
+                        stack = None
+                        break
                     p, i, seen = c, -1, {}
                     continue
                 hits += 1
@@ -280,6 +286,8 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     finally:
         table.hits += hits
         stats.states = states
+    if stack is None:
+        raise BudgetExceeded(states)
     if grundy != want_grundy:
         value = table.wins[pos] = value != 0
     return value

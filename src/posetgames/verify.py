@@ -22,6 +22,7 @@ that context, which caches the position after each mask.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from array import array
@@ -214,9 +215,6 @@ class SuiteReport:
                 },
                 sort_keys=True,
             ) + "\n"
-
-    def to_records(self) -> str:
-        return "".join(self.record_lines())
 
 
 class _Results(Sequence):
@@ -491,22 +489,25 @@ def run_suite(config: SuiteConfig, psi_fn=psi, phi_fn=phi) -> SuiteReport:
 
     With ``jobs > 1`` the units are cut into chunks, which are pickled with
     ``psi_fn`` and ``phi_fn`` to a process pool.  Each worker returns a report
-    on its chunk, and the chunks' columns are joined in unit order.
+    on its chunk, and the chunks' columns are joined in unit order.  The pool
+    has at most one worker per CPU and per chunk, since a forking pool starts
+    all its workers at once; on one CPU the units run in this process.
     """
     config.check()
     t0 = time.perf_counter()
     units = _units(config, psi_fn, phi_fn)
-    if config.jobs == 1:
+    jobs = min(config.jobs, os.cpu_count() or 1)
+    if jobs == 1:
         report = _run_units(config, psi_fn, phi_fn, units)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs load it
 
         units = list(units)
         # eight chunks per worker: few round trips, and late chunks even out uneven units
-        size = max(1, len(units) // (8 * config.jobs))
+        size = max(1, len(units) // (8 * jobs))
         chunks = [units[i:i + size] for i in range(0, len(units), size)]
         report = SuiteReport(config)
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             for part in pool.map(partial(_run_units, config, psi_fn, phi_fn), chunks):
                 report._extend(part)
     report.wall_millis = (time.perf_counter() - t0) * 1000

@@ -409,6 +409,8 @@ def test_move_loop_jumps_without_extended_arg():
     # popped frame enters the loop by a forward jump from the pop dispatch,
     # across the dispatch code below it.  Those jumps stay within 64 units,
     # so the sum-frame code cannot move back between the pop and the loop.
+    # A budget overrun leaves the loops by their normal exit, and the solve
+    # raises after the ``finally``: the loops hold no raise.
     lines, first = inspect.getsourcelines(solver._solve)
     loop = first + next(k for k, line in enumerate(lines) if line.strip() == "while (i := i + 1) < n:")
     pop = first + next(k for k, line in enumerate(lines) if line.strip() == "p, i, seen = stack.pop()")
@@ -424,6 +426,10 @@ def test_move_loop_jumps_without_extended_arg():
     resumes = [ins for ins in jumps if pop < line_at[ins.offset] < loop and ins.argval > ins.offset]
     assert len(resumes) >= 3  # from a sum frame, a Grundy move frame and a win/loss move frame
     assert max(ins.arg for ins in resumes) <= 64, [(ins.opname, ins.arg, line_at[ins.offset] - first) for ins in resumes]
+    start = first + next(k for k, line in enumerate(lines) if line.strip() == "while True:")
+    end = first + next(k for k, line in enumerate(lines) if line.strip() == "finally:")
+    raises = [line_at[ins.offset] - first for ins in code if ins.opname == "RAISE_VARARGS" and start <= line_at[ins.offset] <= end]
+    assert not raises, raises
 
 
 def reversed_chains(*lengths):
@@ -513,6 +519,48 @@ class TestSplitRoot:
         with pytest.raises(BudgetExceeded) as exc:
             solve_winner(KaylesGame(disjoint_union(C8, C8)), budget=3, stats=stats)
         assert exc.value.states == stats.states == 4
+
+
+class TestBudgetExits:
+    """A budget overrun stops the search at any of its three count sites,
+    with the count one past the budget, and leaves no entry for a position
+    it did not finish: the same table then solves the game as the oracle does."""
+
+    @staticmethod
+    def overrun(solve, game, table, stats, budget):
+        with pytest.raises(BudgetExceeded) as exc:
+            solve(game, table=table, budget=budget, stats=stats)
+        assert exc.value.states == stats.states == budget + 1
+        assert game.initial() not in (table.values if solve is grundy else table.wins)
+
+    @staticmethod
+    def assert_solved(solve, game, table):
+        want = naive_kayles_grundy(C8)
+        assert solve(game, table=table) == (want if solve is grundy else outcome(want))
+
+    def test_win_loss_descent(self):
+        # C8 is connected and its first move leaves P5: the root is counted
+        # before the loops, and the descent into a grandchild overruns
+        game, table = KaylesGame(C8), TranspositionTable()
+        self.overrun(solve_winner, game, table, SearchStats(), 2)
+        self.assert_solved(solve_winner, game, table)
+
+    def test_sum_frame_part(self):
+        # Grundy search counts each position as a part of a sum frame
+        game, table = KaylesGame(C8), TranspositionTable()
+        self.overrun(grundy, game, table, SearchStats(), 3)
+        self.assert_solved(grundy, game, table)
+
+    def test_root_check(self):
+        # stats already at their budget: the root overruns before the search
+        # builds anything for its moves
+        stats = SearchStats()
+        solve_winner(KaylesGame(P3), stats=stats)
+        game, table = KaylesGame(C8), TranspositionTable()
+        self.overrun(solve_winner, game, table, stats, stats.states)
+        assert len(table) == 0
+        assert not {"twins", "antichain_win"} & game.__dict__.keys()
+        self.assert_solved(solve_winner, game, table)
 
 
 class TestPositionRange:

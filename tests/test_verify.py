@@ -118,6 +118,19 @@ class TestLemma3Check:
         with pytest.raises(ValueError, match="lemma3 needs exactly one endpoint"):
             _check_lemma("lemma3", BOnlyContext(K2), 0b11, (0, 1), SearchStats())
 
+    def test_removed_gamma_rejected(self):
+        # a phi that puts vertex 0 below gamma((0, 1)) removes gamma((0, 1))
+        # with the pick, so the probe has no element to play
+        def gamma_above_an_endpoint(g):
+            image = phi(g)
+            pairs = [*image.poset.cover_pairs(), (image.b_of_vertex(image.edge_order[0][0]), 0)]
+            return PhiImage(Poset.from_pairs(image.poset.m, pairs), g, image.edge_order)
+
+        ctx = BOnlyContext(K2, phi_fn=gamma_above_an_endpoint)
+        assert ctx.image.edge_order[0] == (0, 1)
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) already removed from the position"):
+            _check_lemma("lemma3", ctx, 0b1, (0, 1), SearchStats())
+
     def test_winning_gamma_fails(self):
         # a table that calls the child lost makes gamma(e) a winning move
         ctx = BOnlyContext(K2)
@@ -257,7 +270,7 @@ def strip_millis(report):
     """The report's JSON records without their timing field."""
     return [
         {k: v for k, v in json.loads(line).items() if k != "millis"}
-        for line in report.to_records().splitlines()
+        for line in "".join(report.record_lines()).splitlines()
     ]
 
 
@@ -336,6 +349,34 @@ class TestRunSuite:
         seq, par = run_suite(cfg), run_suite(replace(cfg, jobs=2))
         assert seq.results
         assert strip_millis(seq) == strip_millis(par)
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 64])
+    def test_jobs_capped_by_cpus_and_chunks(self, cpus, monkeypatch):
+        # a forking pool starts all its workers at once, so --jobs 1000000
+        # must not ask for them: a fake pool records the request and maps here
+        import concurrent.futures
+
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        cfg = SuiteConfig(suite="theorem", max_n=3)  # 11 units, so at most 11 chunks
+        report = run_suite(replace(cfg, jobs=10**6))
+        assert asked == ([] if (cpus or 1) == 1 else [min(cpus, 11)])
+        assert strip_millis(report) == strip_millis(run_suite(cfg))
 
 
 class TestReportColumns:
