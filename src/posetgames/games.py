@@ -121,22 +121,21 @@ class MaskGame:
 
     @cached_property
     def nim_heap(self):
-        """``nim_heap(q)``: the size of q if q is a chain of a poset game,
-        else None; built on first use.
+        """``nim_heap(q)``: the Nim heap q is worth if its elements are
+        pairwise linked in an element game, else None; built on first use.
 
-        q is a chain when each of its elements is comparable to all of q.
-        ``links[x]`` is x's upper cone with its lower cone, so that reads
-        ``links[x] & q == q`` for each x in q.  A move at the i-th lowest
-        element of a chain leaves the i - 1 below it, so the chain is the Nim
-        heap *|q|.  Only rules built by ``PosetGame`` get the test, since it
-        needs kills that are the upper cones of a partial order; other rules
-        get a function that always returns None.  A Kayles clique is worth
-        *1, not *k, and a set game is searched move by move, for the reason
-        ``antichain_win`` gives.
+        q is pairwise linked when ``links[x] & q == q`` for each x in q.  In
+        the poset game ``links[x]`` is x's upper cone with its lower cone, so
+        q is a chain.  A move at the i-th lowest element of a chain leaves
+        the i - 1 below it, so the chain is the Nim heap *|q|.  In Kayles
+        ``links[x]`` is x's closed neighbourhood, so q is a clique (a single
+        vertex included), and every move clears it: it is *1.  Other rules
+        get a function that always returns None: a set game is searched move
+        by move, for the reason ``antichain_win`` gives.
         """
-        if not self._poset:
+        if not self._element_game:
             return _never
-        return partial(_nim_heap, self.links)
+        return partial(_nim_heap, self.links, self._poset)
 
     @cached_property
     def twins(self) -> tuple[int, ...]:
@@ -165,28 +164,34 @@ class MaskGame:
         links = self.links
         return tuple([links[legal.bit_length() - 1] ^ legal for legal, _ in self.order])
 
-    def components(self, pos: int) -> list[int]:
-        """The connected components of ``pos``, lowest element first.
+    def component(self, pos: int) -> int:
+        """The connected component of the lowest element of ``pos`` (0 for
+        an empty ``pos``).
 
-        Each search stops once nothing of ``pos`` is left outside it, so a
+        The search stops once nothing of ``pos`` is left outside it, so a
         connected position costs no more than it takes to reach all of it.
         """
         links = self.links
+        todo = pos & -pos
+        rest = pos ^ todo
+        while todo:
+            low = todo & -todo
+            new = links[low.bit_length() - 1] & rest
+            if new:
+                rest ^= new
+                if not rest:
+                    break
+                todo |= new
+            todo ^= low
+        return pos ^ rest
+
+    def components(self, pos: int) -> list[int]:
+        """The connected components of ``pos``, lowest element first."""
         parts = []
         while pos:
-            todo = pos & -pos
-            rest = pos ^ todo
-            while todo:
-                low = todo & -todo
-                new = links[low.bit_length() - 1] & rest
-                if new:
-                    rest ^= new
-                    if not rest:
-                        break
-                    todo |= new
-                todo ^= low
-            parts.append(pos ^ rest)
-            pos = rest
+            part = self.component(pos)
+            parts.append(part)
+            pos ^= part
         return parts
 
 
@@ -209,15 +214,18 @@ def _antichain_win(out: tuple[int, ...], killed: int, p: int) -> bool | None:
     return p.bit_count() & 1 == 1
 
 
-def _nim_heap(links: tuple[int, ...], q: int) -> int | None:
-    """``MaskGame.nim_heap`` of a poset game with these ``links``."""
+def _nim_heap(links: tuple[int, ...], poset: bool, q: int) -> int | None:
+    """``MaskGame.nim_heap`` of an element game with these ``links``: of a
+    poset game if ``poset``, else of Kayles."""
     rest = q
     while rest:
         low = rest & -rest
         if links[low.bit_length() - 1] & q != q:
             return None
         rest ^= low
-    return q.bit_count()
+    if poset:
+        return q.bit_count()
+    return 1 if q else 0  # the empty position is worth 0
 
 
 def KaylesGame(graph: Graph) -> MaskGame:

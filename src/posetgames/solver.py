@@ -6,11 +6,17 @@ loop tries the moves of a position in the order fixed by ``game.order``
 (the moves that remove the most elements first), and the two modes differ
 only where they must.  Win/loss search stops at the first lost child, so
 the remaining moves are never generated, and skips twin moves (below).
-Grundy search needs every child: it splits each child the table does not
-hold into its connected components (``game.components``) and takes the mex
-of the children's values.  By the Sprague-Grundy theorem the value of a sum
-is the XOR of its parts' values, so only the parts are searched move by
-move, each once; sums and parts are both stored under their own masks.
+Grundy search needs every child, and takes the mex of their values.  By
+the Sprague-Grundy theorem the value of a sum is the XOR of its parts'
+values, so it splits each child the table does not hold into its connected
+components and searches only the parts move by move, each once; sums and
+parts are both stored under their own masks.  It splits lazily, one part
+at a time: the part of the lowest element of what is left
+(``game.component``).  Before it splits what is left, it looks that up
+whole, since any stored mask holds its value, a sum's or a part's; a hit
+ends the split.  A child of a Kayles path is mostly two intervals the
+table holds already, so one short search and two look-ups answer it.  A part that is
+all that was left has just missed in the table and is not looked up again.
 Kayles paths, the padding ``psi`` adds and disjoint chains fall apart this
 way.  The order and the cutoff cannot change the (exact) result.  Memory
 grows with the transposition table and the stack, which is bounded by the
@@ -19,7 +25,7 @@ universe.
 Win/loss search splits only the position it is asked about (the root).  A
 split root's win/loss is its Grundy value != 0, so the search switches to
 Grundy mode, unless ``table.values`` already holds the root: it starts from
-a sum frame over the parts the root check found, and stores the answer in
+a sum frame at the part the root check found, and stores the answer in
 ``table.wins`` too.  A root is not split when its first move in
 ``game.order`` clears it, since it is then connected and won.  Positions
 below the root are searched whole: on the verification suites, finding
@@ -63,17 +69,18 @@ three-level poset the vertex and edge levels are antichains, so late
 positions often are too.  With both rules ``verify --suite theorem
 --max-n 5`` searches 260 864 states.
 
-Grundy search answers a chain of the poset game without searching it.  A
-part whose elements are pairwise comparable is a chain, and a move at its
-i-th lowest element leaves the i - 1 below it, so a chain of k elements is
-the Nim heap *k (``game.nim_heap``).  The test runs where a sum frame is
-about to search a part the table does not hold, after that part is counted
-against the budget, so the answer counts as one state.  Only rules built by
-``PosetGame`` take the rule: it needs kills that are the upper cones of a
-partial order, and a Kayles clique is worth *1, not *k.  Set games keep
-their search, as with antichains.  Only Grundy search fetches the test, so
-a win/loss search that does not split its root never builds it.  Two
-disjoint reversed chains of 120 and 100 elements take 2 states.
+Grundy search answers a chain of the poset game and a clique of Kayles
+without searching them (``game.nim_heap``).  A part whose elements are
+pairwise comparable is a chain, and a move at its i-th lowest element
+leaves the i - 1 below it, so a chain of k elements is the Nim heap *k.  A
+part whose vertices are pairwise adjacent is a clique, one vertex
+included; every move clears it, so it is *1.  The test runs where a sum
+frame is about to search a part the table does not hold, after that part
+is counted against the budget, so the answer counts as one state.  Set
+games keep their search, as with antichains.  Only Grundy search fetches
+the test, so a win/loss search that does not split its root never builds
+it.  Two disjoint reversed chains of 120 and 100 elements take 2 states,
+and 10 000 isolated vertices take 10 000 states of no move each.
 """
 
 from __future__ import annotations
@@ -163,7 +170,7 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
         else:
             legal, keep = None, 0  # no legal move: lost, and nothing to split
         searched = pos & keep and (pos & keep != pos ^ legal or game.antichain_win(pos) is None)
-        if searched and len(parts := game.components(pos)) > 1:
+        if searched and (part := game.component(pos)) != pos:
             grundy = True  # a sum is won iff its parts' Grundy values XOR to nonzero
             value = table.values.get(pos)
             if value is not None:
@@ -178,18 +185,21 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     # Suspended frames.  A move frame (position, place in the order of the
     # move it tried last or -1, seen) tries the moves of a position.  In
     # Grundy mode ``seen`` is the bit mask of the child values so far, and a
-    # sum frame (position, parts left or None before the split, XOR so far)
-    # adds up the values of a position's parts.  In win/loss mode ``seen`` is
-    # a dict whose keys are the twin keys tried, within the position: empty
-    # until the frame's first legal move, which is where an antichain is
-    # answered.  A child is ``p & keep``.  The loop hands a value to the top
-    # frame, then tries moves until it descends into a child or the position
-    # is solved.  The move loop is kept short: on CPython 3.11 to 3.13 a
-    # jump across a loop body beyond 255 code units carries an EXTENDED_ARG,
-    # which every move pays, a few percent of a Grundy search
-    # (``test_move_loop_jumps_without_extended_arg`` checks it).  So a solve
-    # leaves by one exit, after the ``finally``: a ``return`` inside the
-    # ``try`` would get its own copy of the ``finally`` block, in the loop.
+    # sum frame (position, ~rest or None before the split, XOR so far) adds
+    # up the values of a position's parts, where rest is what is left of the
+    # position past the part searched now.  A Grundy move frame waits at a
+    # place >= 0, so a sum frame's ~rest < 0 tells the two apart.  In
+    # win/loss mode ``seen`` is a dict whose keys are the twin keys tried,
+    # within the position: empty until the frame's first legal move, which
+    # is where an antichain is answered.  A child is ``p & keep``.  The loop
+    # hands a value to the top frame, then tries moves until it descends
+    # into a child or the position is solved.  The move loop is kept short:
+    # on CPython 3.11 to 3.13 a jump across a loop body beyond 255 code units
+    # carries an EXTENDED_ARG, which every move pays, a few percent of a
+    # Grundy search (``test_move_loop_jumps_without_extended_arg`` checks
+    # it).  So a solve leaves by one exit, after the ``finally``: a
+    # ``return`` inside the ``try`` would get its own copy of the
+    # ``finally`` block, in the loop.
     # For the same reason a Grundy pop tests for a sum frame first: a move
     # frame's ``break`` into the loop then crosses none of the sum-frame
     # code, which can grow without moving a jump of the loop.
@@ -198,10 +208,18 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
     # ``finally``, so the loops hold no raise.  A sum frame's overrun must
     # ``continue``: a ``break`` there would enter the move loop.
     try:
-        if grundy:  # a split win/loss root's parts are known already
-            stack = [(pos, None if want_grundy else iter(parts), 0)]
-            value = 0  # nothing to XOR in yet
+        if grundy:
+            component = game.component
             nim_heap = game.nim_heap
+            if want_grundy:
+                stack = [(pos, None, 0)]
+            else:  # a split win/loss root: its frame starts at the part the root check found
+                stack = [(pos, ~(pos ^ part), 0)]
+                value = memo.get(part)
+                if value is None:
+                    stack.append((part, None, 0))  # a new frame, as for a child that missed
+                else:
+                    hits += 1
         else:
             states += 1
             if states > limit:
@@ -218,18 +236,25 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
             while stack:
                 p, i, seen = stack.pop()
                 if grundy:
-                    if type(i) is not int:  # a sum frame: XOR the value in, then find an unsolved part
-                        if i is None:  # a new frame: split its position first
-                            i = iter(game.components(p))
-                        else:
+                    if i is None or i < 0:  # a sum frame: add up the values of its position's parts
+                        if i is None:  # a new frame: its position has just missed in the table
+                            rest = p
+                        else:  # a part is solved: XOR its value in
                             seen ^= value
-                        for part in i:
-                            v = get(part)
-                            if v is None:
+                            rest = ~i
+                        # split off the part of the lowest element left until nothing
+                        # is left or the table holds the rest whole (p just missed)
+                        while rest and (rest == p or (v := get(rest)) is None):
+                            part = component(rest)
+                            rest ^= part
+                            if not rest or (v := get(part)) is None:  # all of the rest, or a miss
                                 break
                             hits += 1
                             seen ^= v
                         else:
+                            if rest:  # the rest is stored
+                                hits += 1
+                                seen ^= v
                             value = memo[p] = seen
                             continue
                         states += 1
@@ -237,8 +262,8 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
                             stack = None
                             continue
                         if part != p:  # a connected position is its only part: nothing to add up
-                            push((p, i, seen))
-                        if v := nim_heap(part):  # a chain: the frame below adds its value
+                            push((p, ~rest, seen))
+                        if v := nim_heap(part):  # a chain or a clique: the frame below adds its value
                             value = memo[part] = v
                             continue
                         p, i, seen = part, -1, 0

@@ -337,7 +337,7 @@ class TestAntichains:
 
 class TestChains:
     """Grundy search answers a chain of a poset game as the Nim heap of its
-    size, without searching it."""
+    size, and a clique of Kayles as *1, without searching it."""
 
     def test_every_position_against_oracle(self):
         # every subset, not only the down-sets: x < y < z without y is a chain too
@@ -351,6 +351,22 @@ class TestChains:
                 want = naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
                 assert grundy(game, pos) == want, f"{pos:b} in {p.up}"
         assert chains > 1000  # 1 157 of the 2 100 positions hold a chain of two or more
+
+    def test_every_kayles_position_against_oracle(self):
+        # every subset of each graph, with one table per graph
+        cliques = 0
+        for i in range(60):
+            rng = random.Random(DEFAULT_SEED + i)
+            n = rng.randint(1, 7)
+            density = rng.uniform(0.2, 0.9)
+            g = Graph.of(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+            game, table = KaylesGame(g), TranspositionTable()
+            for pos in range(1 << n):
+                cliques += any(part.bit_count() > 1 and game.nim_heap(part) for part in game.components(pos))
+                want = naive_kayles_grundy(g, frozenset(mask_to_sorted(pos)))
+                assert grundy(game, pos, table) == want, f"{pos:b} in {sorted(g.edges)}"
+                assert solve_winner(game, pos, table) is outcome(want), f"{pos:b} in {sorted(g.edges)}"
+        assert cliques > 600  # 724 of the 2 100 positions hold a clique of two or more
 
     @given(
         # the oracle takes exponential time in the parts' sizes: 4 + 4 + 4 elements take 20 s
@@ -381,9 +397,13 @@ class TestChains:
         assert exc.value.states == stats.states == 2
 
     def test_kayles_clique_is_star_one(self):
+        # every move clears a clique, so it is *1 whatever its size
         game = KaylesGame(complete_graph(5))
-        assert grundy(game) == 1
-        assert game.nim_heap(game.initial()) is None
+        stats = SearchStats()
+        assert grundy(game, stats=stats) == 1
+        assert stats.states == 1
+        assert [game.nim_heap(q) for q in (game.initial(), 0b100, 0b110, 0)] == [1, 1, 1, 0]
+        assert KaylesGame(P3).nim_heap(0b111) is None
 
     def test_set_game_keeps_its_search(self):
         # the upper cones of a 6-chain: a chain of sets, each in the next
@@ -490,11 +510,11 @@ class TestSplitRoot:
         ids=["psi-K4", "reversed-chains-120-100"],
     )
     def test_root_is_split_once(self, build):
-        # the Grundy search starts from the parts the root check found
+        # the Grundy search starts from the part the root check found
         game = build()
         calls = []
-        split = game.components
-        game.components = lambda pos: calls.append(pos) or split(pos)
+        split = game.component
+        game.component = lambda pos: calls.append(pos) or split(pos)
         solve_winner(game)
         assert calls.count(game.initial()) == 1
 
@@ -519,6 +539,78 @@ class TestSplitRoot:
         with pytest.raises(BudgetExceeded) as exc:
             solve_winner(KaylesGame(disjoint_union(C8, C8)), budget=3, stats=stats)
         assert exc.value.states == stats.states == 4
+
+
+class TestLazySplit:
+    """A sum frame splits off one part at a time, and answers what is left
+    from the table whole when the table holds it.  One table serves every
+    position of a game, so later positions meet stored parts and rests."""
+
+    kayles_parts = st.lists(
+        st.one_of(
+            st.integers(1, 4).map(path),
+            st.integers(1, 4).map(complete_graph),
+            st.integers(1, 3).map(Graph.of),  # isolated vertices
+            small_graph(4),
+        ),
+        min_size=1, max_size=4,
+    ).filter(lambda parts: sum(g.n for g in parts) <= 8)  # the oracle takes n! steps on n isolated vertices
+
+    poset_parts = st.lists(
+        st.one_of(
+            st.integers(1, 4).map(chain),
+            st.integers(1, 3).map(antichain),
+            st.builds(random_poset, st.integers(1, 4), st.floats(0, 1), st.integers(0, 99)),
+        ),
+        min_size=1, max_size=4,
+    ).filter(lambda parts: sum(p.m for p in parts) <= 8)
+
+    @staticmethod
+    def assert_positions(game, positions, naive):
+        table = TranspositionTable()
+        for pos in [q & game.initial() for q in positions] + [game.initial()]:
+            want = naive(frozenset(mask_to_sorted(pos)))
+            assert solve_winner(game, pos, table) is outcome(want), f"position {pos:b}"
+            assert grundy(game, pos, table) == want, f"position {pos:b}"
+
+    @given(kayles_parts, st.lists(st.integers(0, 255), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_kayles_sums_against_oracle(self, parts, positions):
+        g = reduce(disjoint_union, parts)
+        self.assert_positions(KaylesGame(g), positions, lambda alive: naive_kayles_grundy(g, alive))
+
+    @given(poset_parts, st.lists(st.integers(0, 255), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_poset_sums_against_oracle(self, parts, positions):
+        p = reduce(Poset.disjoint_sum, parts)
+        self.assert_positions(PosetGame(p), positions, lambda alive: naive_poset_grundy(p, alive))
+
+    @pytest.mark.parametrize("solve, want", [(grundy, 0), (solve_winner, GameValue.LOSS)])
+    def test_stored_rest_answers_the_sum(self, solve, want):
+        # P5 + P3 + K1, with P3 + K1 (*2 + *1) stored whole and P5 (*3) on
+        # its own: the sum is P5's value XOR that of the rest, from two hits
+        # and no state, where a look-up of each part would take three hits
+        game = KaylesGame(Graph.of(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]))
+        table, stats = TranspositionTable(), SearchStats()
+        assert grundy(game, 0b1_1110_0000, table, stats=stats) == 3
+        assert grundy(game, 0b0_0001_1111, table, stats=stats) == 3
+        assert (stats.states, table.hits) == (12, 5)
+        assert solve(game, table=table, stats=stats) == want
+        assert (stats.states, table.hits) == (12, 7)
+
+    def test_connected_position_is_looked_up_once(self):
+        # P3 and its children {0} and {2} are connected, so each is looked
+        # up only where it first misses, and so is the empty child
+        class Lookups(dict):
+            def get(self, key):
+                keys.append(key)
+                return super().get(key)
+
+        keys = []
+        table = TranspositionTable()
+        table.values = Lookups()
+        assert grundy(KaylesGame(P3), table=table) == 2
+        assert sorted(keys) == [0, 0b001, 0b100, 0b111]
 
 
 class TestBudgetExits:
