@@ -84,15 +84,13 @@ class MaskGame:
 
         Only moves whose legal mask holds e count.  A move that merely kills
         e says nothing once e is gone; in Kayles it would link the two ends
-        of a path through a deleted middle vertex.  In an element game e is
-        linked to what its move kills and to the moves that kill it: row e of
-        ``kill`` OR of its transpose, unless the rules came with the rows
-        (``KaylesGame``, ``PosetGame``).  The tuple is built from a list: a
-        tuple built from an iterator is resized as it grows, and once freed
-        it stays on CPython's tuple free list, about 0.2 MB over ``lemma1``.
+        of a path through a deleted middle vertex.  The element games come
+        with their rows (``KaylesGame``, ``PosetGame``), so only a set game
+        builds them here, and transposes them once.  The tuple is built from
+        a list: a tuple built from an iterator is resized as it grows, and
+        once freed it stays on CPython's tuple free list, about 0.2 MB over
+        ``lemma1``.
         """
-        if self._element_game:
-            return tuple([*map(or_, self.kill, transpose(self.size, self.kill))])
         links = [0] * self.size
         for legal, kill in zip(self.legal, self.kill):
             reach = legal | kill
@@ -244,13 +242,11 @@ def KaylesGame(graph: Graph) -> MaskGame:
 def PosetGame(poset: Poset) -> MaskGame:
     """Poset game: a move removes a chosen element and everything above it.
 
-    When the poset holds its lower cones already (a ``phi`` image), the game
-    ORs them into its comparability rows ``links`` and transposes nothing."""
+    Its comparability rows ``links`` are the poset's upper cones OR its lower cones."""
     game = MaskGame(poset.m, [1 << x for x in range(poset.m)], poset.up, "element")
     game._element_game = True
     game._poset = True
-    if poset._down is not None:
-        game.links = tuple([*map(or_, poset.up, poset._down)])
+    game.links = tuple([*map(or_, poset.up, poset.down)])
     return game
 
 

@@ -5,16 +5,15 @@ is the bitmask of every y with x <= y (the upper cone of x).  Positions in
 the poset game are plain ints used as bitmasks over element indices, which
 keeps arbitrary element counts cheap (Python ints grow as needed).
 
-``Poset.from_pairs`` closes a list of generating pairs in one depth-first
-pass over direct-successor masks (Purdom, "A transitive closure algorithm",
-BIT 10, 1970): each cone is its own bit OR the finished cones of its direct
-successors, so the work follows the pairs rather than m * m, and a back edge
-on the search stack is reported as a cycle.  The lower cones ``down`` are
-the transpose of ``up``.  They may come from whoever built the poset, when
-it knows them anyway (``phi`` writes both in closed form), and are otherwise
-built on first use: the reductions, the solver and the cover relation read
-only ``up``, and the poset game ORs ``down`` into its comparability rows
-only when the poset holds it already.
+Every poset also holds its lower cones: bit y of ``down[x]`` is set iff
+y <= x.  Whoever builds the order builds them with it.  ``Poset.from_pairs``
+closes a list of generating pairs by a depth-first pass over direct-successor
+masks (Purdom, "A transitive closure algorithm", BIT 10, 1970): each cone is
+its own bit OR the finished cones of its direct successors, so the work
+follows the pairs rather than m * m, and a back edge on the search stack is
+reported as a cycle.  The same pass over direct-predecessor masks gives the
+lower cones.  ``phi`` writes both in closed form, and ``disjoint_sum``
+shifts both.  The poset game ORs them into its comparability rows.
 """
 
 from __future__ import annotations
@@ -82,81 +81,47 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
 class Poset:
     """Immutable finite poset on elements 0..m-1."""
 
-    __slots__ = ("m", "up", "_down", "_covers")
+    __slots__ = ("m", "up", "down", "_covers")
 
     def __init__(self, m: int, up: Sequence[int]):
         bad = validate_relation(m, up)
         if bad is not None:
             raise ValueError(f"not a partial order: {bad}")
-        self._fill(m, up, None)
+        self._fill(m, up, transpose(m, up))
 
     def _fill(self, m, up, down):
         self.m = m
         self.up = tuple(up)
-        self._down = None if down is None else tuple(down)
+        self.down = tuple(down)
         self._covers = None
 
     @classmethod
-    def _closed(cls, m, up, down=None) -> "Poset":
+    def _closed(cls, m, up, down) -> "Poset":
         """A poset from rows already known to be a partial order, and their
-        transpose ``down`` when the caller knows it."""
+        transpose ``down``."""
         self = object.__new__(cls)
         self._fill(m, up, down)
         return self
-
-    @property
-    def down(self) -> tuple[int, ...]:
-        """Lower cones: bit y of ``down[x]`` is set iff y <= x.  Built on first use."""
-        if self._down is None:
-            self._down = tuple(transpose(self.m, self.up))
-        return self._down
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
         """Close an arbitrary sub-relation reflexively and transitively.
 
-        One depth-first pass over direct-successor masks: an element's cone
-        is its own bit OR the cones of its direct successors, each finished
-        first; a successor already inside the cone built so far is skipped.
-        The search keeps its path on an explicit stack, so long chains do
-        not recurse.  Raises ValueError for a negative m, a pair out of
-        range, or when a successor is still on the stack, naming that pair
-        as a cycle (antisymmetry failure).
+        The upper cones are closed over the direct successors of each
+        element, the lower cones over its direct predecessors (``_cones``).
+        Raises ValueError for a negative m, a pair out of range, or a cycle,
+        found by the pass over the successors, which names one of its pairs.
         """
         if m < 0:
             raise ValueError("element count must be non-negative")
         succ = [0] * m
+        pred = [0] * m
         for x, y in pairs:
             if not (0 <= x < m and 0 <= y < m):
                 raise ValueError(f"pair ({x}, {y}) out of range for m={m}")
             succ[x] |= 1 << y
-        up = [1 << x for x in range(m)]
-        state = bytearray(m)  # 0 unseen, 1 on the stack, 2 finished
-        for root in range(m):
-            if state[root]:
-                continue
-            state[root] = 1
-            stack = [root]
-            while stack:
-                x = stack[-1]
-                cone = up[x]
-                rest = succ[x] & ~cone
-                while rest:
-                    y = (rest & -rest).bit_length() - 1
-                    if state[y] != 2:
-                        break
-                    cone |= up[y]
-                    rest &= ~cone
-                up[x] = cone
-                if rest:
-                    if state[y]:
-                        raise ValueError(f"cycle between elements {x} and {y}")
-                    state[y] = 1
-                    stack.append(y)
-                else:
-                    state[x] = 2
-                    stack.pop()
-        return cls._closed(m, up)
+            pred[y] |= 1 << x
+        return cls._closed(m, _cones(m, succ), _cones(m, pred))
 
     def leq(self, x: int, y: int) -> bool:
         if not (0 <= x < self.m and 0 <= y < self.m):
@@ -189,7 +154,9 @@ class Poset:
 
     def disjoint_sum(self, other: "Poset") -> "Poset":
         """Order-disjoint union; other's elements are shifted up by self.m."""
-        return Poset._closed(self.m + other.m, self.up + tuple(row << self.m for row in other.up))
+        m = self.m
+        up = self.up + tuple(row << m for row in other.up)
+        return Poset._closed(m + other.m, up, self.down + tuple(row << m for row in other.down))
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.m == other.m and self.up == other.up
@@ -199,6 +166,46 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(m={self.m})"
+
+
+def _cones(m: int, succ: Sequence[int]) -> list[int]:
+    """Reflexive-transitive cones of the relation whose direct successors of
+    x are the mask ``succ[x]``.
+
+    One depth-first pass: an element's cone is its own bit OR the cones of
+    its direct successors, each finished first; a successor already inside
+    the cone built so far is skipped.  The search keeps its path on an
+    explicit stack, so long chains do not recurse.  Raises ValueError when a
+    successor is still on the stack, naming that pair as a cycle
+    (antisymmetry failure).
+    """
+    cones = [1 << x for x in range(m)]
+    state = bytearray(m)  # 0 unseen, 1 on the stack, 2 finished
+    for root in range(m):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [root]
+        while stack:
+            x = stack[-1]
+            cone = cones[x]
+            rest = succ[x] & ~cone
+            while rest:
+                y = (rest & -rest).bit_length() - 1
+                if state[y] != 2:
+                    break
+                cone |= cones[y]
+                rest &= ~cone
+            cones[x] = cone
+            if rest:
+                if state[y]:
+                    raise ValueError(f"cycle between elements {x} and {y}")
+                state[y] = 1
+                stack.append(y)
+            else:
+                state[x] = 2
+                stack.pop()
+    return cones
 
 
 # Columns per block of ``transpose``: a multiple of 8, so a row's slice is

@@ -23,13 +23,13 @@ grows with the transposition table and the stack, which is bounded by the
 universe.
 
 Win/loss search splits only the position it is asked about (the root).  A
-split root's win/loss is its Grundy value != 0, so the search switches to
-Grundy mode, unless ``table.values`` already holds the root: it starts from
-a sum frame at the part the root check found, and stores the answer in
-``table.wins`` too.  A root is not split when its first move in
-``game.order`` clears it, since it is then connected and won.  Positions
-below the root are searched whole: on the verification suites, finding
-components at every position cost more than the cutoff left to save.
+split root's win/loss is its Grundy value != 0, so the root is handed to a
+Grundy solve on the same table, and the answer is stored in ``table.wins``
+too.  A root is not split when its first move in ``game.order`` clears it,
+since it is then connected and won, or when it is an antichain (below).
+Positions below the root are searched whole: on the verification suites,
+finding components at every position cost more than the cutoff left to
+save.
 
 Win/loss search also skips twin moves.  In Kayles and the poset game two
 elements of a position are twins when each kills the same other elements
@@ -46,10 +46,8 @@ legal move on.  The paper's reduction is full of twins (``psi`` pads with
 complete graphs, and ``phi`` gives vertices with equal neighbourhoods equal
 cones).  A set game keys a move by its kill mask, so it skips a set that
 meets the position in the same elements as one tried before: that leads to
-the same child, so it saves a table lookup, not a state.  The search
-fetches ``game.twins`` once, before its first move, and only if the root's
-frame can get past its first legal move: not when that move clears the root
-or shows it an antichain (below).  Grundy search does not look for twins.
+the same child, so it saves a table lookup, not a state.  Grundy search
+does not look for twins.
 
 Win/loss search answers an antichain without searching it.  In Kayles and
 the poset game a position is an antichain when no move legal in it removes
@@ -59,10 +57,7 @@ another of its elements.  It is then a sum of single elements, each worth
 position's first legal move: in the root check, before it looks for
 components, and at the first legal move of each move frame; and only when
 that move removes nothing else of the position.  The answer is stored in
-``table.wins`` and counts as one state.  A root that its first legal move
-clears is won at once, and no frame tests it unless the root is that
-move's element, so such a search does not fetch ``game.antichain_win``,
-which costs a pass over the rules.  Like twin-ness, the rule is local: it
+``table.wins`` and counts as one state.  Like twin-ness, the rule is local: it
 reads only the kill masks within the position, so a checker that sees only
 the masks can test it too.  Set games keep their search.  In the paper's
 three-level poset the vertex and edge levels are antichains, so late
@@ -138,7 +133,7 @@ def _position(game, pos):
     return pos
 
 
-def _solve(game, pos, table, budget, stats, want_grundy: bool):
+def _solve(game, pos, table, budget, stats, grundy: bool):
     """Win/loss (a bool) or Grundy value (an int) of ``pos``, with defaults
     filled in: the initial position, a fresh table, a fresh budgeted stats."""
     pos = _position(game, pos)
@@ -153,31 +148,25 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
         stats = SearchStats(budget=budget)
     elif budget is not None:
         stats.budget = budget
-    value = (table.values if want_grundy else table.wins).get(pos)
+    memo = table.values if grundy else table.wins
+    value = memo.get(pos)
     if value is not None:
         table.hits += 1
         return value
     moves = game.order
-    grundy = want_grundy
     if not grundy:
-        # A move that clears the whole position shows it connected (and won)
-        # without building game.links, which costs more than a small search.
-        # An antichain is not split either: its move frame answers it at once.
-        # Either way the root's frame tries no move after its first one.
+        # A root that its first move clears is connected, and one that the
+        # move frame answers as an antichain needs no split
         for legal, keep in moves:
             if legal & pos:
                 break
         else:
             legal, keep = None, 0  # no legal move: lost, and nothing to split
         searched = pos & keep and (pos & keep != pos ^ legal or game.antichain_win(pos) is None)
-        if searched and (part := game.component(pos)) != pos:
-            grundy = True  # a sum is won iff its parts' Grundy values XOR to nonzero
-            value = table.values.get(pos)
-            if value is not None:
-                table.hits += 1
-                value = table.wins[pos] = value != 0
-                return value
-    memo = table.values if grundy else table.wins
+        if searched and game.component(pos) != pos:
+            # a sum is won iff its parts' Grundy values XOR to nonzero
+            value = table.wins[pos] = _solve(game, pos, table, None, stats, True) != 0
+            return value
     n = len(moves)
     hits = 0
     states = stats.states
@@ -211,25 +200,15 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
         if grundy:
             component = game.component
             nim_heap = game.nim_heap
-            if want_grundy:
-                stack = [(pos, None, 0)]
-            else:  # a split win/loss root: its frame starts at the part the root check found
-                stack = [(pos, ~(pos ^ part), 0)]
-                value = memo.get(part)
-                if value is None:
-                    stack.append((part, None, 0))  # a new frame, as for a child that missed
-                else:
-                    hits += 1
+            stack = [(pos, None, 0)]
         else:
             states += 1
             if states > limit:
                 raise BudgetExceeded(states)
             stack = [(pos, -1, {})]
             value = True  # a won child sends its parent on to the next move
-            antichain_win = game.antichain_win if pos & keep or pos == legal else None
-            # a root whose frame stops at its first move needs no game.twins,
-            # though a cleared root's frame still keys that move
-            twins = game.twins if searched else (0,) * n
+            antichain_win = game.antichain_win
+            twins = game.twins
         push = stack.append
         get = memo.get
         while True:
@@ -313,8 +292,6 @@ def _solve(game, pos, table, budget, stats, want_grundy: bool):
         stats.states = states
     if stack is None:
         raise BudgetExceeded(states)
-    if grundy != want_grundy:
-        value = table.wins[pos] = value != 0
     return value
 
 

@@ -159,7 +159,7 @@ class TestDownSets:
         p = random_poset(m, density, seed).disjoint_sum(chain(extra))
         for q in (p, Poset(p.m, p.up)):
             below = lambda x: {y for y in range(q.m) if q.leq(y, x)}
-            # cover_pairs reads up alone, so the loop below builds down
+            # cover_pairs reads up alone, and down comes with the poset
             assert sorted(q.cover_pairs()) == [
                 (x, y)
                 for x in range(q.m)
@@ -225,8 +225,12 @@ def pair_lists(draw):
 class TestClosure:
     M = 3000  # deep enough that a recursive search would hit the recursion limit
 
-    @given(pair_lists())
-    def test_matches_naive_closure(self, case):
+    @given(pair_lists(), st.data())
+    def test_matches_naive_closure(self, case, data):
+        """Both cones against the naive closure and its transpose, also when
+        the pairs repeat or hold pairs the closure implies, and the same
+        after a parse of the formatted cover pairs.  A cycle is reported by
+        the pass over the upper cones, which names a listed pair."""
         m, pairs = case
         rows = naive_closure(m, pairs)
         mutual = {
@@ -236,12 +240,23 @@ class TestClosure:
             if x != y and rows[x] >> y & 1 and rows[y] >> x & 1
         }
         if not mutual:
-            assert Poset.from_pairs(m, pairs).up == tuple(rows)
+            implied = [(x, y) for x in range(m) for y in mask_to_sorted(rows[x]) if x != y]
+            extra = data.draw(st.lists(st.sampled_from(implied), max_size=2 * m)) if implied else []
+            p = Poset.from_pairs(m, data.draw(st.permutations(pairs + pairs[: len(pairs) // 2] + extra)))
+            assert p.up == tuple(rows)
+            assert p.down == tuple(naive_transpose(m, rows))
+            q = parse_poset(format_poset(p))
+            assert (q.up, q.down) == (p.up, p.down)
             return
         with pytest.raises(ValueError, match="cycle") as exc:
             Poset.from_pairs(m, pairs)
         x, y = map(int, re.findall(r"\d+", str(exc.value)))
-        assert (x, y) in mutual
+        assert (x, y) in mutual and (x, y) in pairs
+
+    def test_cycle_named_by_the_up_pass(self):
+        # the pass over the lower cones would name (1, 0), a pair it walks backward
+        with pytest.raises(ValueError, match="cycle between elements 2 and 0"):
+            Poset.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
 
     def test_out_of_range_pair(self):
         with pytest.raises(ValueError, match="out of range"):

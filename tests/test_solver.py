@@ -281,12 +281,12 @@ class TestStateCounts:
         assert stats.states <= 3
 
     def test_twins_built_only_by_a_later_win_loss_move(self):
-        chain_game = PosetGame(chain(1500))
-        assert solve_winner(chain_game) is GameValue.WIN  # its first move clears it
-        assert "twins" not in chain_game.__dict__
-        for game in (KaylesGame(psi(P3)), PosetGame(phi(psi(complete_graph(3))).poset), reversed_chains(4, 3)):
+        # Grundy search has no twin rule: the win/loss search after it (of an unsplit root) builds the keys
+        for game in (KaylesGame(C8), PosetGame(phi(psi(complete_graph(3))).poset), PosetGame(chain(6))):
             grundy(game)
             assert "twins" not in game.__dict__
+            solve_winner(game)
+            assert "twins" in game.__dict__
 
 
 class TestAntichains:
@@ -296,11 +296,12 @@ class TestAntichains:
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
     def test_poset_antichain(self, k):
         game = PosetGame(antichain(k))
+        calls = component_calls(game)
         table, stats = TranspositionTable(), SearchStats()
         assert solve_winner(game, table=table, stats=stats) is outcome(k % 2)
         assert stats.states <= 1
         assert table.wins[game.initial()] is (k % 2 == 1)
-        assert "links" not in game.__dict__  # the root was not split
+        assert calls == []  # the root was not split
 
     @pytest.mark.parametrize(
         "pos, want", [(0b0101_0101, GameValue.LOSS), (0b0001_0101, GameValue.WIN)], ids=["four", "three"])
@@ -462,6 +463,14 @@ def reversed_chains(*lengths):
     return PosetGame(Poset.from_pairs(base, pairs))
 
 
+def component_calls(game):
+    """A list of the positions ``game.component`` is asked about from now on."""
+    calls = []
+    split = game.component
+    game.component = lambda pos: calls.append(pos) or split(pos)
+    return calls
+
+
 class TestSplitRoot:
     """Win/loss search answers a split root from its parts' Grundy values."""
 
@@ -509,14 +518,15 @@ class TestSplitRoot:
         "build", [lambda: KaylesGame(psi(complete_graph(4))), lambda: reversed_chains(120, 100)],
         ids=["psi-K4", "reversed-chains-120-100"],
     )
-    def test_root_is_split_once(self, build):
-        # the Grundy search starts from the part the root check found
+    def test_first_part_is_not_split_again(self, build):
+        # the root check finds the root split, and a Grundy solve of the root
+        # splits it again; the first part is then searched, not split
         game = build()
-        calls = []
-        split = game.component
-        game.component = lambda pos: calls.append(pos) or split(pos)
+        part = game.component(game.initial())
+        calls = component_calls(game)
         solve_winner(game)
-        assert calls.count(game.initial()) == 1
+        assert calls.count(game.initial()) == 2
+        assert part not in calls
 
     def test_split_root_answered_from_grundy_values(self):
         game = KaylesGame(psi(complete_graph(4)))
@@ -529,10 +539,11 @@ class TestSplitRoot:
         assert type(won) is bool and won == (value != 0)
 
     def test_root_cleared_by_one_move_is_not_split(self):
-        # the bottom of a chain clears it, so no link masks are built
+        # the bottom of a chain clears it, so it is connected
         game = PosetGame(chain(1500))
+        calls = component_calls(game)
         assert solve_winner(game) is GameValue.WIN
-        assert "links" not in game.__dict__
+        assert calls == []
 
     def test_budget_counts_the_parts(self):
         stats = SearchStats()
@@ -913,9 +924,10 @@ def transposes(monkeypatch):
 
 
 class TestTransposes:
-    """A game transposes its kill masks at most once, and not at all when its
-    source knows its comparability rows ``links``: ``phi`` writes the lower
-    cones, and Kayles neighbourhoods are symmetric."""
+    """No solve of a poset game or of Kayles transposes a matrix: every poset
+    comes with its lower cones, which the poset game ORs into its
+    comparability rows ``links``, and Kayles neighbourhoods are symmetric.
+    A set game builds its rows from its sets, and transposes them once."""
 
     C5 = Graph.of(5, [(i, (i + 1) % 5) for i in range(5)])
 
@@ -936,32 +948,38 @@ class TestTransposes:
         assert game.links is game.kill
         assert transposes == []
 
+    # each game with its Grundy value; the poset is built once the count has begun
+    GAMES = {
+        "parsed": (lambda: PosetGame(parse_poset("7\n1 0\n2 1\n4 3\n5 4\n6 5\n")), 3 ^ 4),
+        "chain": (lambda: PosetGame(chain(1500)), 1500),
+        "antichain": (lambda: PosetGame(antichain(300)), 0),
+        "disjoint-sum": (
+            lambda: PosetGame(chain(3).disjoint_sum(antichain(2)).disjoint_sum(random_poset(6, 0.4, 5))), 7),
+        "phi-image": (lambda: PosetGame(phi(P3).poset), 1),
+        "kayles": (lambda: KaylesGame(disjoint_union(psi(P3), C8)), 2),
+    }
+
+    @pytest.mark.parametrize("solve", [grundy, solve_winner])
+    @pytest.mark.parametrize("name", GAMES)
+    def test_element_game_transposes_nothing(self, transposes, name, solve):
+        build, value = self.GAMES[name]
+        game = build()
+        assert solve(game) == (value if solve is grundy else outcome(value))
+        assert transposes == []
+
     def test_grundy_on_chain_sum_transposes_once(self, transposes):
-        game = PosetGame(Poset.from_pairs(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
-        assert grundy(game) == 3 ^ 4
-        assert solve_winner(game, 0b110_0111) is GameValue.WIN  # 3 ^ 2
-        assert transposes == [7]
+        # the set game of a chain sum builds its rows from its sets; the poset game comes with them
+        poset = Poset.from_pairs(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+        for game in SetGameRules(poset_to_setgame(poset)), PosetGame(poset):
+            assert grundy(game) == 3 ^ 4
+            assert solve_winner(game, 0b110_0111) is GameValue.WIN  # 3 ^ 2
+            assert transposes == [7]
 
-    def test_chain_cleared_at_once_builds_nothing(self, transposes):
-        game = PosetGame(chain(1500))
-        assert game.__dict__["_element_game"] is True  # known when the game is built
-        assert solve_winner(game) is GameValue.WIN
-        assert not {"antichain_win", "links", "twins"} & set(game.__dict__)
-        assert transposes == []
-
-    @pytest.mark.parametrize("k", [1, 2, 300])
-    def test_antichain_root_builds_no_twins(self, transposes, k):
-        # its frame answers it by parity at the first legal move
-        game = PosetGame(antichain(k))
-        assert solve_winner(game) is outcome(k % 2)
-        assert not {"links", "twins"} & set(game.__dict__)
-        assert transposes == []
-
-    def test_empty_game(self):
+    def test_empty_game(self, transposes):
         game = PosetGame(antichain(0))
         assert solve_winner(game) is GameValue.LOSS
-        assert "antichain_win" not in game.__dict__
         assert grundy(game) == 0
+        assert transposes == []
 
     @given(small_graph(7))
     @settings(max_examples=40, deadline=None)
