@@ -137,11 +137,16 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def mask_to_sorted(mask: int) -> list[int]:
     """The set bits of a non-negative mask, lowest first.
 
-    ``bin(mask)`` is read from its low end as bytes of 0 and 1, which
-    select their indices, so the decode runs in C and in linear time.
+    The mask is shifted down to its lowest set bit, and its ``bin`` is read
+    from the low end as bytes of 0 and 1, which select their indices.  So
+    the decode runs in C, in time linear in the span from the lowest set bit
+    to the highest.
     """
-    bits = bin(mask)[:1:-1].encode().translate(_BITS)
-    return list(compress(range(len(bits)), bits))
+    if not mask:
+        return []
+    low = (mask & -mask).bit_length() - 1
+    bits = bin(mask >> low)[:1:-1].encode().translate(_BITS)
+    return list(compress(range(low, low + len(bits)), bits))
 
 
 def complete_graph(k: int) -> Graph:

@@ -12,8 +12,10 @@ masks (Purdom, "A transitive closure algorithm", BIT 10, 1970): each cone is
 its own bit OR the finished cones of its direct successors, so the work
 follows the pairs rather than m * m, and a back edge on the search stack is
 reported as a cycle.  The same pass over direct-predecessor masks gives the
-lower cones.  ``phi`` writes both in closed form, and ``disjoint_sum``
-shifts both.  The poset game ORs them into its comparability rows.
+lower cones.  ``Poset(m, up)``, given closed upper cones, runs that pass
+over the predecessor masks of their cover relation.  ``phi`` writes both
+in closed form, and ``disjoint_sum`` shifts both.  So no bit matrix is
+ever transposed.  The poset game ORs the two into its comparability rows.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
     for x in range(m):
         if not rows[x] >> x & 1:
             return Violation("reflexive", (x,))
-    cols = transpose(m, rows)
     for x in range(m):
-        if rows[x] & cols[x] != 1 << x:
-            other = rows[x] & cols[x] & ~(1 << x)
-            return Violation("antisymmetric", (x, (other & -other).bit_length() - 1))
+        bit = 1 << x
+        for y in mask_to_sorted(rows[x] ^ bit):
+            if rows[y] & bit:
+                return Violation("antisymmetric", (x, y))
     for x in range(m):
         reach = 0
         ys = rows[x]
@@ -87,18 +89,24 @@ class Poset:
         bad = validate_relation(m, up)
         if bad is not None:
             raise ValueError(f"not a partial order: {bad}")
-        self._fill(m, up, transpose(m, up))
+        # the lower cones close the covers downward, as ``from_pairs`` closes its pairs
+        covers = _covers(m, up)
+        below = [0] * m
+        for x, row in enumerate(covers):
+            for y in mask_to_sorted(row):
+                below[y] |= 1 << x
+        self._fill(m, up, _cones(m, below), tuple(covers))
 
-    def _fill(self, m, up, down):
+    def _fill(self, m, up, down, covers=None):
         self.m = m
         self.up = tuple(up)
         self.down = tuple(down)
-        self._covers = None
+        self._covers = covers
 
     @classmethod
     def _closed(cls, m, up, down) -> "Poset":
         """A poset from rows already known to be a partial order, and their
-        transpose ``down``."""
+        lower cones ``down``."""
         self = object.__new__(cls)
         self._fill(m, up, down)
         return self
@@ -131,25 +139,11 @@ class Poset:
     def cover_pairs(self) -> Iterator[tuple[int, int]]:
         """Transitive reduction: (x, y) with x < y and nothing strictly between.
 
-        Ordered by x, then y, and read off one mask of covers per element,
-        built on first use.  Read from ``up`` alone: the strict cone of x is
-        walked from its lowest remaining index y, each step marking what lies
-        strictly above y and dropping y's cone from the walk.  An element
-        above some other element of the cone is marked, whatever the index
-        order, so what stays unmarked are the covers of x.
+        Ordered by x, then y, and read off one mask of covers per element
+        (``_covers``), built on first use unless ``Poset(m, up)`` built them.
         """
         if self._covers is None:
-            up = self.up
-            covers = []
-            for x in range(self.m):
-                strict = up[x] ^ (1 << x)
-                rest, above = strict, 0
-                while rest:
-                    y = (rest & -rest).bit_length() - 1
-                    above |= up[y] ^ (1 << y)
-                    rest &= ~up[y]
-                covers.append(strict & ~above)
-            self._covers = tuple(covers)
+            self._covers = tuple(_covers(self.m, self.up))
         return ((x, y) for x, row in enumerate(self._covers) for y in mask_to_sorted(row))
 
     def disjoint_sum(self, other: "Poset") -> "Poset":
@@ -166,6 +160,28 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(m={self.m})"
+
+
+def _covers(m: int, up: Sequence[int]) -> list[int]:
+    """``covers[x]``: the mask of the elements that cover x in the order whose
+    upper cones are ``up``.
+
+    Read from ``up`` alone: the strict cone of x is walked from its lowest
+    remaining index y, each step marking what lies strictly above y and
+    dropping y's cone from the walk.  An element above some other element of
+    the cone is marked, whatever the index order, so what stays unmarked are
+    the covers of x.
+    """
+    covers = []
+    for x in range(m):
+        strict = up[x] ^ (1 << x)
+        rest, above = strict, 0
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            above |= up[y] ^ (1 << y)
+            rest &= ~up[y]
+        covers.append(strict & ~above)
+    return covers
 
 
 def _cones(m: int, succ: Sequence[int]) -> list[int]:
@@ -206,40 +222,6 @@ def _cones(m: int, succ: Sequence[int]) -> list[int]:
                 state[x] = 2
                 stack.pop()
     return cones
-
-
-# Columns per block of ``transpose``: a multiple of 8, so a row's slice is
-# whole bytes.  Measured on one x86-64 CPU (CPython 3.11), 256 is as fast as
-# 384 or 512 from 220 elements to 10 000 and holds the least at once.
-_BLOCK = 256
-
-
-def transpose(m: int, rows: Sequence[int]) -> list[int]:
-    """Columns of an m x m bit matrix: bit x of ``out[y]`` is bit y of ``rows[x]``.
-
-    Rows must have no bit at or above m; rows missing at the end count as
-    zero.  The columns are taken ``_BLOCK`` at a time, in C rather than bit
-    by bit.  Each row's slice of the block is cut to bytes, an eighth of the
-    room its binary digits would take.  The bytes of all rows are read as
-    one int and written out as one binary string, and each column of the
-    block is a strided slice of that string.  Only one block's text,
-    m * ``_BLOCK`` characters, is held at once.
-    """
-    rows = rows[:m]
-    if not rows:
-        return [0] * m
-    cols = []
-    for lo in range(0, m, _BLOCK):
-        w = min(_BLOCK, m - lo)
-        nbytes = (w + 7) >> 3
-        mask = (1 << w) - 1
-        # the leading 1 keeps the leading zeros of the first slice in the text
-        data = b"\1" + b"".join([(row >> lo & mask).to_bytes(nbytes, "big") for row in reversed(rows)])
-        text = format(int.from_bytes(data, "big"), "b")
-        width = nbytes * 8
-        # after the leading 1, bit lo + c of each row sits width - c digits in
-        cols += [int(text[width - c::width], 2) for c in range(w)]
-    return cols
 
 
 def antichain(m: int) -> Poset:

@@ -5,6 +5,8 @@ independent move logic (closed neighborhoods / upper cones recomputed from
 the raw graph / relation each call).  Only usable on tiny instances.
 """
 
+from posetgames import Violation
+
 
 def naive_mex(values):
     g = 0
@@ -66,3 +68,37 @@ def naive_transpose(m, rows):
     """Columns of the m x m bit matrix ``rows``, read one bit at a time; a row
     missing at the end counts as zero."""
     return [sum((rows[x] >> y & 1) << x for x in range(min(m, len(rows)))) for y in range(m)]
+
+
+def naive_links(game):
+    """x and y are linked when some move legal on one of them reaches the other."""
+    moves = list(zip(game.legal, game.kill))
+    return tuple(
+        sum(1 << y for y in range(game.size)
+            if any(legal >> x & 1 and (legal | kill) >> y & 1 or legal >> y & 1 and (legal | kill) >> x & 1
+                   for legal, kill in moves))
+        for x in range(game.size))
+
+
+def naive_violation(m, rows):
+    """The first order axiom that the relation ``rows`` breaks, read one pair
+    at a time: reflexivity, then antisymmetry, then transitivity, each at its
+    lowest x.  The witnesses are x; then x and the lowest y != x related both
+    ways; then x, y and z for the lowest z that x misses and some y with
+    x <= y <= z reaches, with the lowest such y."""
+    def rel(x, y):
+        return rows[x] >> y & 1
+
+    for x in range(m):
+        if not rel(x, x):
+            return Violation("reflexive", (x,))
+    for x in range(m):
+        for y in range(m):
+            if y != x and rel(x, y) and rel(y, x):
+                return Violation("antisymmetric", (x, y))
+    for x in range(m):
+        for z in range(m):
+            for y in range(m):
+                if not rel(x, z) and rel(x, y) and rel(y, z):
+                    return Violation("transitive", (x, y, z))
+    return None

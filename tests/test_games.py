@@ -21,7 +21,7 @@ from posetgames import (
 )
 from posetgames.posets import mask_to_sorted
 
-from oracle import is_down_set
+from oracle import is_down_set, naive_links
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 
@@ -135,7 +135,7 @@ def test_mask_game_negative_size_rejected():
 
 @st.composite
 def any_rules(draw):
-    kind = draw(st.sampled_from(["kayles", "poset", "setgame"]))
+    kind = draw(st.sampled_from(["kayles", "poset", "setgame", "mask"]))
     if kind == "kayles":
         n = draw(st.integers(1, 5))
         edges = draw(
@@ -144,6 +144,13 @@ def any_rules(draw):
         return KaylesGame(Graph.of(n, edges))
     if kind == "poset":
         return PosetGame(random_poset(draw(st.integers(1, 6)), draw(st.floats(0, 1)), draw(st.integers(0, 999))))
+    if kind == "mask":
+        # legal masks of two or more elements, each strictly inside its kill mask
+        size = draw(st.integers(3, 6))
+        legal = draw(st.lists(st.integers(3, (1 << size) - 2).filter(lambda mask: mask.bit_count() > 1),
+                              min_size=1, max_size=5))
+        kill = [mask | draw(st.integers(1, (1 << size) - 1).filter(lambda k: k & ~mask)) for mask in legal]
+        return MaskGame(size, legal, kill, "move")
     u = draw(st.integers(1, 5))
     sets = draw(st.lists(st.frozensets(st.integers(0, u - 1), max_size=u), min_size=1, max_size=5))
     return SetGameRules(SetGame(u, tuple(sets)))
@@ -226,19 +233,9 @@ def test_links_per_rule_set():
         0b0011, 0b0011, 0b0100, 0)
 
 
-def _naive_links(game):
-    """x and y are linked when some move legal on one of them reaches the other."""
-    moves = list(zip(game.legal, game.kill))
-    return tuple(
-        sum(1 << y for y in range(game.size)
-            if any(legal >> x & 1 and (legal | kill) >> y & 1 or legal >> y & 1 and (legal | kill) >> x & 1
-                   for legal, kill in moves))
-        for x in range(game.size))
-
-
 @given(any_rules())
 def test_links_against_naive(game):
-    assert game.links == _naive_links(game)
+    assert game.links == naive_links(game)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -353,6 +353,9 @@ def _seeded_mask(bits, density, seed):
     1 << 1499,
     _seeded_mask(1500, 0.5, 1),
     _seeded_mask(1500, 0.02, 2),
-], ids=["zero", "bit-1499", "dense-1500", "sparse-1500"])
+    1 << 9999,
+    1 << 9990 | 1 << 9999,
+    _seeded_mask(1500, 0.3, 3) << 700,
+], ids=["zero", "bit-1499", "dense-1500", "sparse-1500", "bit-9999", "bits-9990-9999", "shifted-700"])
 def test_mask_to_sorted_against_per_bit_reference(mask):
     assert mask_to_sorted(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]

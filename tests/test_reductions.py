@@ -23,7 +23,9 @@ from posetgames import (
     reduce_kayles_to_poset,
     solve_winner,
 )
-from posetgames.posets import Poset, mask_to_sorted, transpose
+from posetgames.posets import Poset, mask_to_sorted
+
+from oracle import naive_transpose
 
 
 def component_sizes(g):
@@ -142,7 +144,7 @@ class TestPhiClosedForm:
     def _check(self, g):
         p = phi(g).poset
         assert p == _phi_by_closure(g)
-        assert p.down == tuple(transpose(p.m, p.up))
+        assert p.down == tuple(naive_transpose(p.m, p.up))
 
     @pytest.mark.parametrize("n", range(6))
     def test_every_labeled_graph_and_its_padding(self, n):

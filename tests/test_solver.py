@@ -34,10 +34,10 @@ from posetgames import (
     random_poset,
     solve_winner,
 )
-from posetgames import games, posets, solver
+from posetgames import solver
 from posetgames.posets import mask_to_sorted
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
-from oracle import is_down_set, naive_kayles_grundy, naive_mex, naive_poset_grundy, naive_setgame_grundy
+from oracle import is_down_set, naive_kayles_grundy, naive_links, naive_mex, naive_poset_grundy, naive_setgame_grundy
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 K2K2 = disjoint_union(complete_graph(2), complete_graph(2))
@@ -908,45 +908,28 @@ def assert_keys_agree_as_rows_do(game):
                     assert (key[x] & p == key[y] & p) == rows, (p, x, y)
 
 
-@pytest.fixture
-def transposes(monkeypatch):
-    """The sizes of the matrices the library transposes, one per call."""
-    calls = []
-    real = posets.transpose
-
-    def counted(m, rows):
-        calls.append(m)
-        return real(m, rows)
-
-    monkeypatch.setattr(posets, "transpose", counted)
-    monkeypatch.setattr(games, "transpose", counted)
-    return calls
-
-
 class TestTransposes:
-    """No solve of a poset game or of Kayles transposes a matrix: every poset
-    comes with its lower cones, which the poset game ORs into its
-    comparability rows ``links``, and Kayles neighbourhoods are symmetric.
-    A set game builds its rows from its sets, and transposes them once."""
+    """The comparability rows ``links`` come from masks each game already
+    has, with no transpose: every poset comes with its lower cones, which
+    the poset game ORs into its rows, Kayles neighbourhoods are symmetric,
+    and a set game ORs each set into the rows of its elements."""
 
     C5 = Graph.of(5, [(i, (i + 1) % 5) for i in range(5)])
 
     @pytest.mark.parametrize("g", [complete_graph(3), P3, C5, Graph.of(2)], ids=["K3", "P3", "C5", "E2"])
-    def test_phi_image_win_loss(self, transposes, g):
+    def test_phi_image_win_loss(self, g):
         image = phi(psi(g))
         game = PosetGame(image.poset)
         assert solve_winner(game) is solve_winner(KaylesGame(g))
         assert "links" in game.__dict__ and "twins" in game.__dict__
         poset = image.poset
         assert game.links == tuple(up | down for up, down in zip(poset.up, poset.down))
-        assert transposes == []
 
-    def test_kayles_win_loss(self, transposes):
+    def test_kayles_win_loss(self):
         game = KaylesGame(self.C5)
         assert solve_winner(game) is GameValue.LOSS
         assert "links" in game.__dict__ and "twins" in game.__dict__
         assert game.links is game.kill
-        assert transposes == []
 
     # each game with its Grundy value; the poset is built once the count has begun
     GAMES = {
@@ -961,25 +944,24 @@ class TestTransposes:
 
     @pytest.mark.parametrize("solve", [grundy, solve_winner])
     @pytest.mark.parametrize("name", GAMES)
-    def test_element_game_transposes_nothing(self, transposes, name, solve):
+    def test_element_game_transposes_nothing(self, name, solve):
         build, value = self.GAMES[name]
         game = build()
         assert solve(game) == (value if solve is grundy else outcome(value))
-        assert transposes == []
 
-    def test_grundy_on_chain_sum_transposes_once(self, transposes):
+    def test_grundy_on_chain_sum_links_match_naive(self):
         # the set game of a chain sum builds its rows from its sets; the poset game comes with them
         poset = Poset.from_pairs(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
         for game in SetGameRules(poset_to_setgame(poset)), PosetGame(poset):
             assert grundy(game) == 3 ^ 4
             assert solve_winner(game, 0b110_0111) is GameValue.WIN  # 3 ^ 2
-            assert transposes == [7]
+            assert game.links == naive_links(game)
 
-    def test_empty_game(self, transposes):
+    def test_empty_game(self):
         game = PosetGame(antichain(0))
         assert solve_winner(game) is GameValue.LOSS
         assert grundy(game) == 0
-        assert transposes == []
+        assert game.links == ()
 
     @given(small_graph(7))
     @settings(max_examples=40, deadline=None)
