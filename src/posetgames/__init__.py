@@ -6,8 +6,6 @@ from .graphs import (
     MAX_ELEMENTS,
     FormatError,
     Graph,
-    complete_graph,
-    disjoint_union,
     enumerate_labeled_graphs,
     format_graph,
     parse_graph,

@@ -88,8 +88,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if (args.src, args.dst) not in (("kayles", "poset"), ("poset", "setgame")):
+        raise ValueError(
+            f"unsupported reduction {args.src} -> {args.dst} (supported: kayles -> poset, poset -> setgame)"
+        )
+    if args.map_out and args.src != "kayles":
+        raise ValueError("--map-out maps a graph onto its poset: it needs --from kayles --to poset")
     text = _read_file(args.input)
-    if args.src == "kayles" and args.dst == "poset":
+    if args.src == "kayles":
         image = reduce_kayles_to_poset(parse_graph(text))
         _write(args.out, format_poset(image.poset))
         if args.map_out:
@@ -97,18 +103,11 @@ def cmd_reduce(args) -> int:
         if args.dot:
             _write(args.dot, to_dot(image.poset, image.levels))
         return 0
-    if args.src == "poset" and args.dst == "setgame":
-        poset = parse_poset(text)
-        _write(args.out, format_setgame(poset_to_setgame(poset)))
-        if args.dot:
-            _write(args.dot, to_dot(poset))
-        return 0
-    print(
-        f"unsupported reduction {args.src} -> {args.dst} "
-        "(supported: kayles -> poset, poset -> setgame)",
-        file=sys.stderr,
-    )
-    return 2
+    poset = parse_poset(text)
+    _write(args.out, format_setgame(poset_to_setgame(poset)))
+    if args.dot:
+        _write(args.dot, to_dot(poset))
+    return 0
 
 
 def cmd_verify(args) -> int:

@@ -257,31 +257,14 @@ class SetGame(_Record):
     universe: int
     masks: tuple[int, ...]
 
-    def __init__(self, universe: int, sets: Iterable[Iterable[int]]):
+    def __init__(self, universe: int, masks: Iterable[int]):
+        masks = tuple(masks)
         if universe < 0:
             raise ValueError("universe size must be non-negative")
-        masks = []
-        for i, s in enumerate(sets):
-            mask = 0
-            for e in s:
-                if not 0 <= e < universe:
-                    raise ValueError(f"set {i} has element {e} outside universe {universe}")
-                mask |= 1 << e
-            masks.append(mask)
+        if reduce(or_, masks, 0) >> universe:  # a negative mask shifts down to -1
+            raise ValueError(f"a set mask is negative or holds an element outside universe {universe}")
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "masks", tuple(masks))
-
-    @classmethod
-    def _unchecked(cls, universe: int, masks: Sequence[int]) -> "SetGame":
-        """A set game from masks already known to lie inside the universe."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "masks", tuple(masks))
-        return self
-
-    @property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(mask_to_sorted(mask)) for mask in self.masks)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def k(self) -> int:
@@ -315,7 +298,7 @@ def parse_setgame(text: str) -> SetGame:
         masks.append(mask)
     if len(masks) != k:
         raise FormatError(f"expected {k} set lines, found {len(masks)}")
-    return SetGame._unchecked(u, masks)
+    return SetGame(u, masks)
 
 
 def format_setgame(s: SetGame) -> str:

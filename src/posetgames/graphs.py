@@ -149,18 +149,6 @@ def mask_to_sorted(mask: int) -> list[int]:
     return list(compress(range(low, low + len(bits)), bits))
 
 
-def complete_graph(k: int) -> Graph:
-    if k < 1:
-        raise ValueError("complete graph needs at least one vertex")
-    return Graph(k, frozenset(combinations(range(k), 2)))
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; b's vertices are shifted up by a.n."""
-    shifted = ((u + a.n, v + a.n) for u, v in b.edges)
-    return Graph(a.n + b.n, a.edges | frozenset(shifted))
-
-
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled simple graphs on n vertices.
 

@@ -12,10 +12,12 @@ masks (Purdom, "A transitive closure algorithm", BIT 10, 1970): each cone is
 its own bit OR the finished cones of its direct successors, so the work
 follows the pairs rather than m * m, and a back edge on the search stack is
 reported as a cycle.  The same pass over direct-predecessor masks gives the
-lower cones.  ``Poset(m, up)``, given closed upper cones, runs that pass
-over the predecessor masks of their cover relation.  ``phi`` writes both
-in closed form, and ``disjoint_sum`` shifts both.  So no bit matrix is
-ever transposed.  The poset game ORs the two into its comparability rows.
+lower cones.  ``phi`` writes both in closed form.  So no bit matrix is ever
+transposed.  The poset game ORs the two into its comparability rows.
+
+A poset is built by ``Poset.from_pairs`` (or ``parse_poset``, which calls
+it) and by ``phi``; both go through ``Poset._closed``.  Rows from elsewhere
+are checked with ``validate_relation``, never taken as an order.
 """
 
 from __future__ import annotations
@@ -81,34 +83,24 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
 
 
 class Poset:
-    """Immutable finite poset on elements 0..m-1."""
+    """Immutable finite poset on elements 0..m-1.
+
+    Built only as an order: ``Poset(...)`` itself refuses every argument."""
 
     __slots__ = ("m", "up", "down", "_covers")
 
-    def __init__(self, m: int, up: Sequence[int]):
-        bad = validate_relation(m, up)
-        if bad is not None:
-            raise ValueError(f"not a partial order: {bad}")
-        # the lower cones close the covers downward, as ``from_pairs`` closes its pairs
-        covers = _covers(m, up)
-        below = [0] * m
-        for x, row in enumerate(covers):
-            for y in mask_to_sorted(row):
-                below[y] |= 1 << x
-        self._fill(m, up, _cones(m, below), tuple(covers))
-
-    def _fill(self, m, up, down, covers=None):
-        self.m = m
-        self.up = tuple(up)
-        self.down = tuple(down)
-        self._covers = covers
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Poset with Poset.from_pairs or parse_poset")
 
     @classmethod
     def _closed(cls, m, up, down) -> "Poset":
         """A poset from rows already known to be a partial order, and their
         lower cones ``down``."""
         self = object.__new__(cls)
-        self._fill(m, up, down)
+        self.m = m
+        self.up = tuple(up)
+        self.down = tuple(down)
+        self._covers = None
         return self
 
     @classmethod
@@ -140,17 +132,11 @@ class Poset:
         """Transitive reduction: (x, y) with x < y and nothing strictly between.
 
         Ordered by x, then y, and read off one mask of covers per element
-        (``_covers``), built on first use unless ``Poset(m, up)`` built them.
+        (``_covers``), built on first use.
         """
         if self._covers is None:
             self._covers = tuple(_covers(self.m, self.up))
         return ((x, y) for x, row in enumerate(self._covers) for y in mask_to_sorted(row))
-
-    def disjoint_sum(self, other: "Poset") -> "Poset":
-        """Order-disjoint union; other's elements are shifted up by self.m."""
-        m = self.m
-        up = self.up + tuple(row << m for row in other.up)
-        return Poset._closed(m + other.m, up, self.down + tuple(row << m for row in other.down))
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.m == other.m and self.up == other.up
@@ -251,7 +237,10 @@ def to_dot(p: Poset, levels: Sequence[str] | None = None) -> str:
     """Hasse diagram as DOT: cover edges only, oriented lower -> upper.
 
     ``levels``, when given, holds one label per element, written as its
-    ``level`` attribute; ``PhiImage.levels`` holds a phi image's A/B/C labels."""
+    ``level`` attribute; ``PhiImage.levels`` holds a phi image's A/B/C labels.
+    Raises ValueError unless there is exactly one label per element."""
+    if levels is not None and len(levels) != p.m:
+        raise ValueError(f"{len(levels)} level labels for {p.m} elements")
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for x in range(p.m):
         lines.append(f"  {x};" if levels is None else f'  {x} [level="{levels[x]}"];')

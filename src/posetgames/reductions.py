@@ -115,7 +115,7 @@ def poset_to_setgame(p: Poset) -> SetGame:
 
     The set masks are the poset's upper cones as they stand, so the set
     game's kill masks are the poset game's."""
-    return SetGame._unchecked(p.m, p.up)
+    return SetGame(p.m, p.up)
 
 
 def format_phi_mapping(image: PhiImage) -> str:

@@ -9,7 +9,6 @@ import time
 from posetgames import (
     KaylesGame,
     PosetGame,
-    disjoint_union,
     enumerate_labeled_graphs,
     GameValue,
     grundy,
@@ -23,6 +22,7 @@ from posetgames import (
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
 
 from oracle import naive_kayles_grundy, naive_poset_grundy
+from shapes import graph_sum, poset_sum
 from test_verify import drop_one_low_relation, single_k3_padding
 
 
@@ -104,7 +104,7 @@ def test_criterion_6_solver_self_consistency():
         for b in small:
             if a.n + b.n > 9:
                 continue
-            if grundy(KaylesGame(disjoint_union(a, b))) != grundy(KaylesGame(a)) ^ grundy(KaylesGame(b)):
+            if grundy(KaylesGame(graph_sum(a, b))) != grundy(KaylesGame(a)) ^ grundy(KaylesGame(b)):
                 xor_bad += 1
     rng = random.Random(DEFAULT_SEED)
     pools = {n: list(enumerate_labeled_graphs(n)) for n in (4, 5)}
@@ -113,7 +113,7 @@ def test_criterion_6_solver_self_consistency():
         n2 = rng.randint(1, 9 - n1)
         a = rng.choice(pools.get(n1) or [])
         b = rng.choice(pools.get(n2) or list(enumerate_labeled_graphs(n2)))
-        if grundy(KaylesGame(disjoint_union(a, b))) != grundy(KaylesGame(a)) ^ grundy(KaylesGame(b)):
+        if grundy(KaylesGame(graph_sum(a, b))) != grundy(KaylesGame(a)) ^ grundy(KaylesGame(b)):
             xor_bad += 1
     for i in range(200):
         rng2 = random.Random(DEFAULT_SEED + 7 * i)
@@ -121,7 +121,7 @@ def test_criterion_6_solver_self_consistency():
         m2 = rng2.randint(1, 9 - m1)
         p1 = random_poset(m1, rng2.uniform(0, 1), DEFAULT_SEED + i)
         p2 = random_poset(m2, rng2.uniform(0, 1), DEFAULT_SEED + 10_000 + i)
-        if grundy(PosetGame(p1.disjoint_sum(p2))) != grundy(PosetGame(p1)) ^ grundy(PosetGame(p2)):
+        if grundy(PosetGame(poset_sum(p1, p2))) != grundy(PosetGame(p1)) ^ grundy(PosetGame(p2)):
             xor_bad += 1
     ok = enough and mismatches == 0 and xor_bad == 0
     _report(

@@ -11,8 +11,6 @@ import posetgames
 from posetgames import (
     MAX_ELEMENTS,
     Graph,
-    complete_graph,
-    disjoint_union,
     format_graph,
     format_poset,
     antichain,
@@ -24,10 +22,12 @@ from posetgames import (
 from posetgames import cli
 from posetgames.cli import main
 
+from shapes import complete_graph, graph_sum, sets_of
+
 
 @pytest.fixture
 def k2k2_file(tmp_path):
-    g = disjoint_union(complete_graph(2), complete_graph(2))
+    g = graph_sum(complete_graph(2), complete_graph(2))
     path = tmp_path / "k2k2.graph"
     path.write_text(format_graph(g))
     return str(path)
@@ -198,7 +198,7 @@ class TestReduce:
         assert main(["reduce", str(src), "--from", "poset", "--to", "setgame",
                      "--out", str(out), "--dot", str(dot)]) == 0
         s = parse_setgame(out.read_text())
-        assert s.sets == (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}))
+        assert sets_of(s) == (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}))
         assert re.findall(r"\d+ -> \d+", dot.read_text()) == ["0 -> 1", "1 -> 2"]  # the cover pairs
 
     def test_poset_to_setgame_writes_upper_cones(self, tmp_path):
@@ -212,11 +212,26 @@ class TestReduce:
         assert lines[1:] == [" ".join(str(y) for y in range(240) if p.leq(x, y)) for x in range(240)]
 
     def test_unsupported_direction(self, tmp_path, capsys):
+        path = tmp_path / "c3.poset"
+        path.write_text(format_poset(chain(3)))
+        out = tmp_path / "out"
+        for src, dst in (("poset", "poset"), ("kayles", "setgame")):
+            rc = main(["reduce", str(path), "--from", src, "--to", dst, "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: unsupported reduction") and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_map_out_needs_kayles_to_poset(self, tmp_path, capsys):
         src = tmp_path / "c3.poset"
         src.write_text(format_poset(chain(3)))
-        rc = main(["reduce", str(src), "--from", "poset", "--to", "poset"])
+        out, mapping = tmp_path / "c3.sets", tmp_path / "c3.map"
+        rc = main(["reduce", str(src), "--from", "poset", "--to", "setgame",
+                   "--out", str(out), "--map-out", str(mapping)])
         assert rc == 2
-        assert "unsupported" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --map-out") and err.count("\n") == 1 and "Traceback" not in err
+        assert not mapping.exists() and not out.exists()
 
 
 class TestVerify:

@@ -13,15 +13,16 @@ from posetgames import (
     SetGame,
     SetGameRules,
     chain,
-    complete_graph,
     format_setgame,
     parse_setgame,
     phi,
+    poset_to_setgame,
     random_poset,
 )
 from posetgames.posets import mask_to_sorted
 
 from oracle import is_down_set, naive_links
+from shapes import complete_graph, poset_sum, set_game
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 
@@ -88,30 +89,34 @@ class TestPosetGameRules:
 
 class TestSetGame:
     def test_all_empty_no_moves(self):
-        rules = SetGameRules(SetGame(2, (frozenset({0}), frozenset({1}))))
+        rules = SetGameRules(set_game(2, (frozenset({0}), frozenset({1}))))
         assert rules.moves(0) == []
 
     def test_disjoint_singletons(self):
-        rules = SetGameRules(SetGame(2, (frozenset({0}), frozenset({1}))))
+        rules = SetGameRules(set_game(2, (frozenset({0}), frozenset({1}))))
         after = rules.apply(rules.initial(), 0)
         assert (rules.legal[0] & after) == 0
         assert (rules.legal[1] & after) == 0b10
 
     def test_overlap(self):
-        rules = SetGameRules(SetGame(3, (frozenset({0, 1}), frozenset({1, 2}))))
+        rules = SetGameRules(set_game(3, (frozenset({0, 1}), frozenset({1, 2}))))
         after = rules.apply(rules.initial(), 0)
         assert (rules.legal[0] & after) == 0
         assert (rules.legal[1] & after) == 0b100
 
     def test_empty_pick_rejected(self):
-        rules = SetGameRules(SetGame(2, (frozenset({0}), frozenset({1}))))
+        rules = SetGameRules(set_game(2, (frozenset({0}), frozenset({1}))))
         after = rules.apply(rules.initial(), 0)
         with pytest.raises(ValueError):
             rules.apply(after, 0)
 
     def test_universe_enforced(self):
-        with pytest.raises(ValueError):
-            SetGame(2, (frozenset({5}),))
+        # a mask at or past the universe, and a negative one, which would hold every high bit
+        for masks in [(1 << 5,), (0b100,), (0b11, 0b1000), (-1,), (0b01, -2)]:
+            with pytest.raises(ValueError, match="outside universe 2"):
+                SetGame(2, masks)
+        s = SetGame(3, iter([0b111, 0, 0b100]))
+        assert (s.universe, s.masks, s.k) == (3, (0b111, 0, 0b100), 3)
 
     def test_negative_universe_rejected(self):
         with pytest.raises(ValueError, match="universe size must be non-negative"):
@@ -120,7 +125,7 @@ class TestSetGame:
     def test_survivor_characterization(self):
         # element survives iff no chosen set contained it
         sets = (frozenset({0, 1}), frozenset({1, 2}), frozenset({3}))
-        rules = SetGameRules(SetGame(4, sets))
+        rules = SetGameRules(set_game(4, sets))
         pos = rules.initial()
         for pick in (1, 2):
             pos = rules.apply(pos, pick)
@@ -153,7 +158,7 @@ def any_rules(draw):
         return MaskGame(size, legal, kill, "move")
     u = draw(st.integers(1, 5))
     sets = draw(st.lists(st.frozensets(st.integers(0, u - 1), max_size=u), min_size=1, max_size=5))
-    return SetGameRules(SetGame(u, tuple(sets)))
+    return SetGameRules(set_game(u, tuple(sets)))
 
 
 class TestSharedInvariants:
@@ -199,12 +204,17 @@ class TestSharedInvariants:
 
 class TestSetGameFormat:
     def test_roundtrip(self):
-        s = SetGame(4, (frozenset({0, 1}), frozenset(), frozenset({2, 3})))
+        s = SetGame(4, (0b0011, 0, 0b1100))
+        assert parse_setgame(format_setgame(s)) == s
+
+    @given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 999))
+    def test_roundtrip_upper_cones(self, m, density, seed):
+        s = poset_to_setgame(random_poset(m, density, seed))
         assert parse_setgame(format_setgame(s)) == s
 
     def test_empty_set_line(self):
         s = parse_setgame("2 3\n0 1\n\n")
-        assert s.sets == (frozenset({0, 1}), frozenset())
+        assert s.masks == (0b11, 0)
 
     def test_comments(self):
         s = parse_setgame("# two sets\n2 2\n0\n1\n")
@@ -227,9 +237,9 @@ class TestSetGameFormat:
 
 def test_links_per_rule_set():
     assert KaylesGame(P3).links == (0b011, 0b111, 0b110)  # closed neighbourhoods
-    assert PosetGame(chain(3).disjoint_sum(chain(1))).links == (0b0111, 0b0111, 0b0111, 0b1000)
+    assert PosetGame(poset_sum(chain(3), chain(1))).links == (0b0111, 0b0111, 0b0111, 0b1000)
     # elements sharing a set are linked; element 3 is in no set
-    assert SetGameRules(SetGame(4, (frozenset({0, 1}), frozenset({1}), frozenset({2})))).links == (
+    assert SetGameRules(set_game(4, (frozenset({0, 1}), frozenset({1}), frozenset({2})))).links == (
         0b0011, 0b0011, 0b0100, 0)
 
 

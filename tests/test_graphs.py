@@ -12,8 +12,6 @@ from posetgames import (
     KaylesGame,
     SetGame,
     Violation,
-    complete_graph,
-    disjoint_union,
     enumerate_labeled_graphs,
     format_graph,
     parse_graph,
@@ -22,6 +20,8 @@ from posetgames import (
     phi,
 )
 from posetgames.graphs import mask_to_sorted
+
+from shapes import complete_graph, graph_sum
 
 
 def components(g):
@@ -48,6 +48,8 @@ def small_graphs(max_n=4):
 
 
 class TestCompleteGraph:
+    """The test helper ``complete_graph``."""
+
     def test_k2(self):
         g = complete_graph(2)
         assert g.n == 2 and len(g.edges) == 1
@@ -71,24 +73,26 @@ class TestCompleteGraph:
 
 
 class TestDisjointUnion:
+    """The test helper ``graph_sum`` lays its parts side by side."""
+
     def test_two_k2(self):
-        g = disjoint_union(complete_graph(2), complete_graph(2))
+        g = graph_sum(complete_graph(2), complete_graph(2))
         assert g.n == 4 and len(g.edges) == 2
         assert len(components(g)) == 2
 
     def test_empty_identity(self):
         empty = Graph.of(0)
-        g = disjoint_union(empty, complete_graph(4))
+        g = graph_sum(empty, complete_graph(4))
         assert g == complete_graph(4)
 
     def test_k2_k4_counts(self):
-        g = disjoint_union(complete_graph(2), complete_graph(4))
+        g = graph_sum(complete_graph(2), complete_graph(4))
         assert g.n == 6 and len(g.edges) == 7
 
     @given(small_graphs(), small_graphs(), small_graphs())
     def test_associative_up_to_relabeling(self, a, b, c):
-        left = disjoint_union(disjoint_union(a, b), c)
-        right = disjoint_union(a, disjoint_union(b, c))
+        left = graph_sum(graph_sum(a, b), c)
+        right = graph_sum(a, graph_sum(b, c))
         assert left.n == right.n
         assert len(left.edges) == len(right.edges)
         key = lambda comps: sorted(len(comp) for comp in comps)
@@ -148,7 +152,7 @@ class TestAdjacency:
     @example(complete_graph(2))
     @example(P3)  # the centre removes the whole path
     @example(Graph.of(3, [(0, 1)]))  # vertex 2 is isolated
-    @example(disjoint_union(P3, complete_graph(2)))
+    @example(graph_sum(P3, complete_graph(2)))
     def test_masks_match_edges(self, g):
         kill = KaylesGame(g).kill
         for v in range(g.n):
@@ -173,7 +177,7 @@ class TestFormat:
     @pytest.mark.parametrize("parse, text, expected", [
         (parse_graph, "2\n  # indented comment\n0 1\n", Graph.of(2, [(0, 1)])),
         (lambda t: parse_poset(t).up, "2\n\t# indented comment\n0 1\n", (0b11, 0b10)),
-        (parse_setgame, "1 2\n  # indented comment\n0 1\n", SetGame(2, (frozenset({0, 1}),))),
+        (parse_setgame, "1 2\n  # indented comment\n0 1\n", SetGame(2, (0b11,))),
     ])
     def test_comment_lines_only(self, parse, text, expected):
         # a line is a comment when its first non-blank character is '#';
@@ -283,7 +287,7 @@ RECORDS = [
         "Graph(n=2, edges=frozenset({(0, 1)}))", id="Graph",
     ),
     pytest.param(
-        lambda: SetGame(3, [{0, 1}, {2}]), lambda: parse_setgame("2 3\n0 1\n2\n"), lambda: SetGame(3, [{2}, {0, 1}]),
+        lambda: SetGame(3, [0b011, 0b100]), lambda: parse_setgame("2 3\n0 1\n2\n"), lambda: SetGame(3, [0b100, 0b011]),
         "SetGame(universe=3, masks=(3, 4))", id="SetGame",
     ),
     pytest.param(

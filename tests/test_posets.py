@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import pytest
@@ -10,7 +11,6 @@ from posetgames import (
     PosetGame,
     antichain,
     chain,
-    complete_graph,
     enumerate_labeled_graphs,
     format_poset,
     parse_poset,
@@ -22,6 +22,7 @@ from posetgames import (
 from posetgames.posets import mask_to_sorted
 
 from oracle import is_down_set, naive_closure, naive_transpose, naive_violation
+from shapes import complete_graph, poset_sum
 
 
 @st.composite
@@ -43,13 +44,16 @@ class TestValidate:
     @given(relations())
     def test_matches_naive_violation(self, case):
         """The first violation and its witnesses are those of a pair-by-pair
-        reading of the axioms, and a valid relation's lower cones are its
-        transpose."""
+        reading of the axioms, and a valid relation is its own closure:
+        ``from_pairs`` on its pairs gives back its rows, with their transpose
+        as the lower cones."""
         m, rows = case
         bad = validate_relation(m, rows)
         assert bad == naive_violation(m, rows)
         if bad is None:
-            assert Poset(m, rows).down == tuple(naive_transpose(m, rows))
+            p = Poset.from_pairs(m, [(x, y) for x in range(m) for y in mask_to_sorted(rows[x])])
+            assert p.up == tuple(rows)
+            assert p.down == tuple(naive_transpose(m, rows))
 
     def test_singleton_ok(self):
         assert validate_relation(1, [0b1]) is None
@@ -72,12 +76,22 @@ class TestValidate:
         assert v.witnesses == (1,)
 
     def test_constructor_rejects_invalid(self):
-        with pytest.raises(ValueError, match="antisymmetric"):
-            Poset(2, [0b11, 0b11])
+        for m, rows in [(2, [0b11, 0b11]), (2, [0b101, 0b10]), (-1, [])]:
+            with pytest.raises(TypeError, match="Poset.from_pairs or parse_poset"):
+                Poset(m, rows)
+
+    def test_constructor_refuses_an_order(self):
+        """``Poset(m, rows)`` builds nothing even from an order's cones: an
+        order comes from ``from_pairs``, which closes and checks its pairs."""
+        for m, rows in [(2, [0b11, 0b10]), (1, [0b1]), (0, [])]:
+            with pytest.raises(TypeError, match="Poset.from_pairs or parse_poset"):
+                Poset(m, rows)
+        with pytest.raises(TypeError):
+            Poset(m=2, up=(0b11, 0b10))
 
     def test_row_beyond_m_is_value_error(self):
         with pytest.raises(ValueError, match="outside elements"):
-            Poset(2, [0b101, 0b10])
+            validate_relation(2, [0b101, 0b10])
 
     def test_missing_rows_is_value_error(self):
         with pytest.raises(ValueError, match="rows"):
@@ -85,7 +99,7 @@ class TestValidate:
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError, match="element count must be non-negative"):
-            Poset(-1, [])
+            validate_relation(-1, [])
 
 
 class TestUpperCone:
@@ -179,8 +193,10 @@ class TestDownSets:
         st.integers(0, 4),
     )
     def test_down_is_the_transpose_of_up(self, m, density, seed, extra):
-        p = random_poset(m, density, seed).disjoint_sum(chain(extra))
-        for q in (p, Poset(p.m, p.up)):
+        p = poset_sum(random_poset(m, density, seed), chain(extra))
+        # the same order rebuilt from all its comparable pairs, not only its covers
+        every = Poset.from_pairs(p.m, [(x, y) for x in range(p.m) for y in mask_to_sorted(p.up[x])])
+        for q in (p, every):
             below = lambda x: {y for y in range(q.m) if q.leq(y, x)}
             # cover_pairs reads up alone, and down comes with the poset
             assert sorted(q.cover_pairs()) == [
@@ -192,6 +208,29 @@ class TestDownSets:
             ]
             for x in range(q.m):
                 assert set(mask_to_sorted(q.down[x])) == below(x)
+        assert every == p
+
+
+class TestPickle:
+    """``verify --jobs`` sends posets to its workers: phi images and random
+    posets must come back with every table they left with."""
+
+    @pytest.mark.parametrize("protocol", [2, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+    @pytest.mark.parametrize("build", [
+        lambda: random_poset(9, 0.3, 4),
+        lambda: phi(Graph.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])).poset,
+        lambda: antichain(0),
+        lambda: chain(70),
+    ], ids=["random", "phi", "empty", "chain-70"])
+    def test_round_trip(self, build, protocol):
+        p = build()
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is Poset and (q.m, q.up, q.down) == (p.m, p.up, p.down)
+        assert q == p and hash(q) == hash(p)
+        assert list(q.cover_pairs()) == list(p.cover_pairs())
+        # once cover_pairs has cached the covers, they travel too
+        r = pickle.loads(pickle.dumps(p, protocol))
+        assert r._covers == p._covers is not None and r.down == p.down
 
 
 @st.composite
@@ -295,6 +334,13 @@ class TestDot:
         assert f"{image.b_of_vertex(1)} -> {c};" in dot
         assert 'level="A"' in dot  # the isolated low copy keeps its tag
 
+    @pytest.mark.parametrize("levels", [(), ("A",) * 3, ("A",) * 5, ("A", "B", "C", "C", "X")],
+                             ids=["none", "too-few", "one-extra", "extra-label"])
+    def test_levels_must_match_elements(self, levels):
+        # phi(K2) has four elements; a label too many or too few is refused
+        with pytest.raises(ValueError, match=f"{len(levels)} level labels for 4 elements"):
+            to_dot(phi(complete_graph(2)).poset, levels)
+
     def test_transitive_edges_absent(self):
         dot = to_dot(chain(4))
         assert "0 -> 2" not in dot and "0 -> 3" not in dot
@@ -362,7 +408,9 @@ class TestPosetFormat:
 
 class TestDisjointSum:
     def test_shapes(self):
-        p = chain(2).disjoint_sum(antichain(3))
+        """The test helper ``poset_sum`` lays its parts side by side."""
+        p = poset_sum(chain(2), antichain(3))
         assert p.m == 5
         assert p.leq(0, 1)
         assert not any(p.leq(x, y) for x in (0, 1) for y in (2, 3, 4))
+        assert p.down == (0b00001, 0b00011, 0b00100, 0b01000, 0b10000)

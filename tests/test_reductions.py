@@ -7,12 +7,9 @@ from posetgames import (
     Graph,
     KaylesGame,
     PosetGame,
-    SetGame,
     SetGameRules,
     antichain,
     chain,
-    complete_graph,
-    disjoint_union,
     enumerate_labeled_graphs,
     format_phi_mapping,
     grundy,
@@ -26,6 +23,7 @@ from posetgames import (
 from posetgames.posets import Poset, mask_to_sorted
 
 from oracle import naive_transpose
+from shapes import complete_graph, graph_sum, set_game, sets_of
 
 
 def component_sizes(g):
@@ -65,7 +63,7 @@ class TestPsi:
     def test_matches_union_of_complete_graphs(self, n):
         for g in enumerate_labeled_graphs(n):
             last = complete_graph(2 if len(g.edges) % 2 == 1 else 4)
-            assert psi(g) == disjoint_union(disjoint_union(g, complete_graph(2)), last)
+            assert psi(g) == graph_sum(g, complete_graph(2), last)
 
 
 class TestPhi:
@@ -198,20 +196,20 @@ class TestComposition:
 class TestPosetToSetGame:
     def test_antichain(self):
         s = poset_to_setgame(antichain(3))
-        assert s.sets == (frozenset({0}), frozenset({1}), frozenset({2}))
+        assert s.masks == (0b001, 0b010, 0b100)
 
     def test_chain(self):
         s = poset_to_setgame(chain(3))
-        assert s.sets == (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}))
+        assert sets_of(s) == (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}))
 
     def test_phi_k2(self):
         image = phi(complete_graph(2))
-        s = poset_to_setgame(image.poset)
+        s = sets_of(poset_to_setgame(image.poset))
         a, b0, b1, c = 0, 1, 2, 3
-        assert s.sets[a] == {a}
-        assert s.sets[b0] == {b0, c}
-        assert s.sets[b1] == {b1, c}
-        assert s.sets[c] == {c}
+        assert s[a] == {a}
+        assert s[b0] == {b0, c}
+        assert s[b1] == {b1, c}
+        assert s[c] == {c}
 
     @pytest.mark.parametrize("m, density, seed", [(0, 0.5, 1), (1, 0.5, 2), (12, 0.3, 3), (40, 0.1, 4), (40, 0.6, 5)])
     def test_identity_on_kill_masks(self, m, density, seed):
@@ -219,10 +217,10 @@ class TestPosetToSetGame:
         s = poset_to_setgame(p)
         rules = SetGameRules(s)
         assert rules.legal == rules.kill == p.up
-        # the public constructor, from frozensets, builds the same game
-        from_sets = SetGame(m, tuple(frozenset(mask_to_sorted(cone)) for cone in p.up))
+        # the same game, built from each cone's elements
+        from_sets = set_game(m, [mask_to_sorted(cone) for cone in p.up])
         assert from_sets == s and hash(from_sets) == hash(s)
-        assert s.sets == from_sets.sets and s.k == m
+        assert s.masks == from_sets.masks == p.up and s.k == m
 
     @given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 999))
     @settings(max_examples=50, deadline=None)
@@ -260,9 +258,9 @@ class TestAlternatePadding:
         # any pair of complete graphs is a Grundy-zero appendage, so padding
         # with K3 in place of K2 still preserves the Kayles winner
         def pad(g):
-            out = disjoint_union(g, complete_graph(3))
+            out = graph_sum(g, complete_graph(3))
             other = 3 if len(g.edges) % 2 == 1 else 4
-            return disjoint_union(out, complete_graph(other))
+            return graph_sum(out, complete_graph(other))
 
         for g in enumerate_labeled_graphs(3):
             assert grundy(KaylesGame(g)) == grundy(KaylesGame(pad(g)))

@@ -16,14 +16,11 @@ from posetgames import (
     Poset,
     PosetGame,
     SearchStats,
-    SetGame,
     SetGameRules,
     TranspositionTable,
     antichain,
     best_move,
     chain,
-    complete_graph,
-    disjoint_union,
     enumerate_labeled_graphs,
     format_poset,
     grundy,
@@ -38,9 +35,10 @@ from posetgames import solver
 from posetgames.posets import mask_to_sorted
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
 from oracle import is_down_set, naive_kayles_grundy, naive_links, naive_mex, naive_poset_grundy, naive_setgame_grundy
+from shapes import complete_graph, graph_sum, poset_sum, set_game, sets_of
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
-K2K2 = disjoint_union(complete_graph(2), complete_graph(2))
+K2K2 = graph_sum(complete_graph(2), complete_graph(2))
 C8 = Graph.of(8, [(i, i + 1) for i in range(7)] + [(0, 7)])
 
 
@@ -72,7 +70,7 @@ class TestGrundy:
         assert grundy(PosetGame(antichain(n))) == n % 2
 
     def test_k2_union_k4(self):
-        assert grundy(KaylesGame(disjoint_union(complete_graph(2), complete_graph(4)))) == 0
+        assert grundy(KaylesGame(graph_sum(complete_graph(2), complete_graph(4)))) == 0
 
     def test_p3(self):
         assert grundy(KaylesGame(P3)) == 2
@@ -96,7 +94,7 @@ class TestGrundy:
     def test_table_shared_with_winner_keeps_ints_on_sums(self):
         # the sum is split into its two chains; each part's value is an int too
         table = TranspositionTable()
-        game = PosetGame(chain(2).disjoint_sum(chain(3)))
+        game = PosetGame(poset_sum(chain(2), chain(3)))
         solve_winner(game, table=table)
         value = grundy(game, table=table)
         assert type(value) is int and value == 1
@@ -183,7 +181,7 @@ class TestSplitPositions:
     @given(small_graph(5), small_graph(4))
     @settings(max_examples=40, deadline=None)
     def test_kayles_disjoint_union(self, a, b):
-        g = disjoint_union(a, b)
+        g = graph_sum(a, b)
         assert_solves(KaylesGame(g), None, naive_kayles_grundy(g))
 
     @given(
@@ -192,14 +190,14 @@ class TestSplitPositions:
     )
     @settings(max_examples=40, deadline=None)
     def test_poset_disjoint_sum(self, m1, d1, s1, m2, d2, s2):
-        p = random_poset(m1, d1, s1).disjoint_sum(random_poset(m2, d2, s2))
+        p = poset_sum(random_poset(m1, d1, s1), random_poset(m2, d2, s2))
         assert_solves(PosetGame(p), None, naive_poset_grundy(p))
 
     @given(set_family(5), set_family(4))
     @settings(max_examples=40, deadline=None)
     def test_setgame_disjoint_groups(self, left, right):
         sets = left + [frozenset(e + 5 for e in s) for s in right]
-        assert_solves(SetGameRules(SetGame(9, tuple(sets))), None, naive_setgame_grundy(sets))
+        assert_solves(SetGameRules(set_game(9, tuple(sets))), None, naive_setgame_grundy(sets))
 
     @given(small_graph(9), st.integers(0, 3), st.data())
     @settings(max_examples=40, deadline=None)
@@ -219,7 +217,7 @@ class TestSplitPositions:
     @given(set_family(9), st.integers(0, 3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_setgame_mid_game(self, sets, steps, data):
-        game = SetGameRules(SetGame(9, tuple(sets)))
+        game = SetGameRules(set_game(9, tuple(sets)))
         pos = play(game, data, steps)
         # elements in no set are inert; the oracle leaves them out
         alive = frozenset(mask_to_sorted(pos)) & frozenset().union(*sets)
@@ -234,7 +232,7 @@ class TestSplitPositions:
         # with element 1 gone, set {0, 1, 2} still meets the position and
         # takes 0 and 2 together, so {0, 2} is one component, not K1 + K1
         sets = [frozenset({0, 1, 2}), frozenset({0}), frozenset({2})]
-        game = SetGameRules(SetGame(3, tuple(sets)))
+        game = SetGameRules(set_game(3, tuple(sets)))
         assert grundy(game, 0b101) == naive_setgame_grundy(sets, frozenset({0, 2})) == 2
 
 
@@ -376,9 +374,7 @@ class TestChains:
     )
     @settings(max_examples=40, deadline=None)
     def test_sums_with_chains_against_oracle(self, m, density, seed, lengths, steps, data):
-        p = random_poset(m, density, seed)
-        for length in lengths:
-            p = p.disjoint_sum(chain(length))
+        p = poset_sum(random_poset(m, density, seed), *map(chain, lengths))
         game = PosetGame(p)
         pos = play(game, data, steps)
         assert_solves(game, pos, naive_poset_grundy(p, frozenset(mask_to_sorted(pos))))
@@ -503,7 +499,7 @@ class TestSplitRoot:
     @given(small_graph(5), small_graph(4))
     @settings(max_examples=40, deadline=None)
     def test_best_move_on_a_sum(self, a, b):
-        g = disjoint_union(a, b)
+        g = graph_sum(a, b)
         game = KaylesGame(g)
         if not g.n:
             return
@@ -548,7 +544,7 @@ class TestSplitRoot:
     def test_budget_counts_the_parts(self):
         stats = SearchStats()
         with pytest.raises(BudgetExceeded) as exc:
-            solve_winner(KaylesGame(disjoint_union(C8, C8)), budget=3, stats=stats)
+            solve_winner(KaylesGame(graph_sum(C8, C8)), budget=3, stats=stats)
         assert exc.value.states == stats.states == 4
 
 
@@ -587,13 +583,13 @@ class TestLazySplit:
     @given(kayles_parts, st.lists(st.integers(0, 255), max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_kayles_sums_against_oracle(self, parts, positions):
-        g = reduce(disjoint_union, parts)
+        g = graph_sum(*parts)
         self.assert_positions(KaylesGame(g), positions, lambda alive: naive_kayles_grundy(g, alive))
 
     @given(poset_parts, st.lists(st.integers(0, 255), max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_poset_sums_against_oracle(self, parts, positions):
-        p = reduce(Poset.disjoint_sum, parts)
+        p = poset_sum(*parts)
         self.assert_positions(PosetGame(p), positions, lambda alive: naive_poset_grundy(p, alive))
 
     @pytest.mark.parametrize("solve, want", [(grundy, 0), (solve_winner, GameValue.LOSS)])
@@ -727,7 +723,7 @@ class TestConsistency:
     def test_xor_additivity_graphs(self):
         for a in enumerate_labeled_graphs(3):
             for b in enumerate_labeled_graphs(3):
-                whole = grundy(KaylesGame(disjoint_union(a, b)))
+                whole = grundy(KaylesGame(graph_sum(a, b)))
                 assert whole == grundy(KaylesGame(a)) ^ grundy(KaylesGame(b))
 
     @given(
@@ -737,7 +733,7 @@ class TestConsistency:
     @settings(max_examples=40)
     def test_xor_additivity_posets(self, m1, d1, s1, m2, d2, s2):
         p1, p2 = random_poset(m1, d1, s1), random_poset(m2, d2, s2)
-        assert grundy(PosetGame(p1.disjoint_sum(p2))) == grundy(PosetGame(p1)) ^ grundy(PosetGame(p2))
+        assert grundy(PosetGame(poset_sum(p1, p2))) == grundy(PosetGame(p1)) ^ grundy(PosetGame(p2))
 
 
 class TestAgainstNaiveOracle:
@@ -756,7 +752,7 @@ class TestAgainstNaiveOracle:
     @settings(max_examples=30, deadline=None)
     def test_setgame(self, m, density, seed):
         s = poset_to_setgame(random_poset(m, density, seed))
-        assert grundy(SetGameRules(s)) == naive_setgame_grundy(list(s.sets))
+        assert grundy(SetGameRules(s)) == naive_setgame_grundy(list(sets_of(s)))
 
 
 def with_poset_twins(p, picks):
@@ -861,7 +857,7 @@ class TestTwins:
         assert game.twins == tuple(kill ^ legal for legal, kill in zip(game.legal, game.kill))
 
     def test_set_game_keys_are_kill_masks(self):
-        game = SetGameRules(SetGame(3, (frozenset({0, 1}), frozenset({2}), frozenset({2}))))
+        game = SetGameRules(set_game(3, (frozenset({0, 1}), frozenset({2}), frozenset({2}))))
         assert game.order == ((0b011, ~0b011), (0b100, ~0b100), (0b100, ~0b100))
         assert game.twins == (0b011, 0b100, 0b100)
 
@@ -870,7 +866,7 @@ class TestTwins:
         # once the first has led to a won child the second is skipped, not
         # looked up: 2 table hits without the skip
         sets = [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({1, 2})]
-        game = SetGameRules(SetGame(4, tuple(sets)))
+        game = SetGameRules(set_game(4, tuple(sets)))
         table, stats = TranspositionTable(), SearchStats()
         assert solve_winner(game, 0b0111, table, stats=stats) is outcome(
             naive_setgame_grundy(sets, frozenset({0, 1, 2})))
@@ -937,9 +933,9 @@ class TestTransposes:
         "chain": (lambda: PosetGame(chain(1500)), 1500),
         "antichain": (lambda: PosetGame(antichain(300)), 0),
         "disjoint-sum": (
-            lambda: PosetGame(chain(3).disjoint_sum(antichain(2)).disjoint_sum(random_poset(6, 0.4, 5))), 7),
+            lambda: PosetGame(poset_sum(chain(3), antichain(2), random_poset(6, 0.4, 5))), 7),
         "phi-image": (lambda: PosetGame(phi(P3).poset), 1),
-        "kayles": (lambda: KaylesGame(disjoint_union(psi(P3), C8)), 2),
+        "kayles": (lambda: KaylesGame(graph_sum(psi(P3), C8)), 2),
     }
 
     @pytest.mark.parametrize("solve", [grundy, solve_winner])

@@ -11,8 +11,6 @@ from posetgames import (
     Graph,
     antichain,
     chain,
-    complete_graph,
-    disjoint_union,
     format_graph,
     grundy,
     KaylesGame,
@@ -39,6 +37,8 @@ from posetgames.verify import (
     check_theorem,
     run_suite,
 )
+
+from shapes import complete_graph, graph_sum
 
 K2 = complete_graph(2)
 P3 = Graph.of(3, [(0, 1), (1, 2)])
@@ -260,7 +260,7 @@ class TestSetGameCheck:
 
     def test_failure_shows_the_poset(self, monkeypatch):
         # a set game of one singleton is *1, against *2 for the 2-chain
-        monkeypatch.setattr(verify, "poset_to_setgame", lambda p: SetGame(1, [[0]]))
+        monkeypatch.setattr(verify, "poset_to_setgame", lambda p: SetGame(1, [0b1]))
         [(name, verdict, _, detail)] = run_one("setgame", chain(2))
         assert (name, verdict) == ("unit", "fail")
         assert detail == f"poset grundy 2 vs set game 1 on\n{format_poset(chain(2))}"
@@ -494,8 +494,8 @@ def drop_one_low_relation(g):
 def single_k3_padding(g):
     """Padding that appends one K3 where a K2 belongs."""
     if len(g.edges) % 2 == 1:
-        return disjoint_union(g, complete_graph(3))
-    return disjoint_union(disjoint_union(g, complete_graph(3)), complete_graph(4))
+        return graph_sum(g, complete_graph(3))
+    return graph_sum(g, complete_graph(3), complete_graph(4))
 
 
 class TestMutationSensitivity:
