@@ -64,7 +64,9 @@ def _budget(args) -> int | None:
 
 
 def cmd_solve(args) -> int:
-    """``winner`` prints first/second and exits 0/1; ``grundy`` prints the value."""
+    """``winner`` prints first/second and exits 0/1; ``grundy`` prints the value.
+    The stats line goes to stderr also when the budget runs out, before the
+    ``undecided`` line, and the exit code is then 2."""
     stats = SearchStats(budget=_budget(args))
     rules = _load_game(args.input, args.game)
     t0 = time.perf_counter()
@@ -73,13 +75,15 @@ def cmd_solve(args) -> int:
     try:
         value = solve(rules, table=table, stats=stats)
     except BudgetExceeded:
-        print("undecided: budget exhausted", file=sys.stderr)
-        return 2
+        value = None
     millis = (time.perf_counter() - t0) * 1000
     print(
         f"states={stats.states} hits={table.hits} millis={millis:.1f}",
         file=sys.stderr,
     )
+    if value is None:
+        print("undecided: budget exhausted", file=sys.stderr)
+        return 2
     if args.command == "grundy":
         print(value)
         return 0

@@ -26,7 +26,7 @@ import random
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 
-from .graphs import FormatError, _read, _Record, mask_to_sorted
+from .graphs import FormatError, _read, _Record, _rebuild, mask_to_sorted
 
 
 class Violation(_Record):
@@ -85,7 +85,12 @@ def validate_relation(m: int, rows: Sequence[int]) -> Violation | None:
 class Poset:
     """Immutable finite poset on elements 0..m-1.
 
-    Built only as an order: ``Poset(...)`` itself refuses every argument."""
+    Built only as an order: ``Poset(...)`` itself refuses every argument.
+    As for a ``_Record``, assigning or deleting a field raises
+    AttributeError: ``_closed`` and the ``_covers`` cache write through
+    ``object.__setattr__``, and pickling rebuilds a poset from its fields.
+    Equality and hash read only ``m`` and ``up``, which ``down`` and the
+    covers follow from."""
 
     __slots__ = ("m", "up", "down", "_covers")
 
@@ -97,10 +102,10 @@ class Poset:
         """A poset from rows already known to be a partial order, and their
         lower cones ``down``."""
         self = object.__new__(cls)
-        self.m = m
-        self.up = tuple(up)
-        self.down = tuple(down)
-        self._covers = None
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "up", tuple(up))
+        object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "_covers", None)
         return self
 
     @classmethod
@@ -135,7 +140,7 @@ class Poset:
         (``_covers``), built on first use.
         """
         if self._covers is None:
-            self._covers = tuple(_covers(self.m, self.up))
+            object.__setattr__(self, "_covers", tuple(_covers(self.m, self.up)))
         return ((x, y) for x, row in enumerate(self._covers) for y in mask_to_sorted(row))
 
     def __eq__(self, other):
@@ -146,6 +151,12 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(m={self.m})"
+
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, (self.m, self.up, self.down, self._covers))
 
 
 def _covers(m: int, up: Sequence[int]) -> list[int]:

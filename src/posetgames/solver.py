@@ -125,18 +125,17 @@ class SearchStats:
         self.budget = budget
 
 
-def _position(game, pos):
-    """``pos``, or the initial position for None; ValueError unless a set of the game's elements."""
-    if pos is None:
-        return game.initial()
-    game._check_position(pos)
-    return pos
-
-
 def _solve(game, pos, table, budget, stats, grundy: bool):
     """Win/loss (a bool) or Grundy value (an int) of ``pos``, with defaults
-    filled in: the initial position, a fresh table, a fresh budgeted stats."""
-    pos = _position(game, pos)
+    filled in: the initial position, a fresh table, a fresh budgeted stats.
+
+    A root the table holds is answered by its one lookup, before it is
+    validated and before any stats are built: the table stores only sets of
+    its game's elements.  A miss is validated, unless it is the initial
+    position that None stands for."""
+    given = pos is not None
+    if not given:
+        pos = game.initial()
     if table is None:
         table = TranspositionTable()
     rules = game.size, game.legal, game.kill
@@ -144,15 +143,17 @@ def _solve(game, pos, table, budget, stats, grundy: bool):
         if table.rules is not None:
             raise ValueError("the table holds positions of other rules")
         table.rules = rules
-    if stats is None:
-        stats = SearchStats(budget=budget)
-    elif budget is not None:
+    if budget is not None and stats is not None:
         stats.budget = budget
     memo = table.values if grundy else table.wins
     value = memo.get(pos)
     if value is not None:
         table.hits += 1
         return value
+    if given:
+        game._check_position(pos)
+    if stats is None:
+        stats = SearchStats(budget=budget)
     moves = game.order
     if not grundy:
         # A root that its first move clears is connected, and one that the
@@ -324,7 +325,10 @@ def best_move(
     budget: int | None = None,
 ) -> int | None:
     """Lowest-index move to a losing child, or None if the mover is lost."""
-    pos = _position(game, pos)
+    if pos is None:
+        pos = game.initial()
+    else:
+        game._check_position(pos)
     moves = game.moves(pos)
     if not moves:
         raise ValueError("position is terminal")

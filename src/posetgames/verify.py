@@ -9,14 +9,18 @@ either way.  Runs are deterministic for a fixed config, including the
 sampling seed.
 
 A check returns what is wrong, or None when it holds, and counts the states
-of its solves in the ``SearchStats`` it is given.  ``_run_unit`` gives each
-check a budgeted one, times it, turns its answer into a verdict and appends
-the case to the columns of a ``SuiteReport``, which builds a row object only
-when one is read.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table,
-and the ``_SUITES`` table holds all ``run_suite`` knows about a suite.  A
-lemma unit is one source graph and its ``BOnlyContext``: ``_run_unit``
-checks its cases, each a mask of vertex picks and an edge, in one loop on
-that context, which caches the position after each mask.
+of its solves in the ``SearchStats`` it is given.  ``_run_units`` is the one
+loop over units and their cases: it binds the suite's check, the report's
+columns and one budgeted ``SearchStats`` once per run, resets the stats'
+``states`` before each case, calls the check, times it, turns its answer
+into a verdict and appends the case to the columns of a ``SuiteReport``,
+which builds a row object only when one is read.  Lemmas 2-4 are one check
+driven by the ``_LEMMAS`` table, and the ``_SUITES`` table holds all
+``run_suite`` knows about a suite.  A lemma unit is one source graph and
+its ``BOnlyContext``: its cases, each a mask of vertex picks and an edge,
+are checked in turn on that context, which caches the position after each
+mask.  Most of their probes are answered by one lookup in the context's
+table, which the solver makes before it validates the position.
 """
 
 from __future__ import annotations
@@ -120,12 +124,6 @@ class SuiteReport:
         self._states = array("q")
         self._millis = array("d")
         self._details: dict[int, str] = {}
-
-    def _end_unit(self, name: str):
-        """Close the unit whose cases were appended since the last one."""
-        self._names += name.encode()
-        self._name_ends.append(len(self._names))
-        self._ends.append(len(self._verdicts))
 
     def _extend(self, part: SuiteReport):
         """Append the units of ``part``, a report on later units of the same run."""
@@ -300,8 +298,8 @@ class BOnlyContext:
     endpoints; ``b_mask``, the vertex level.  The position after each set of
     picks is cached by the set's mask, since the exhaustive cases pick one
     set for every edge in turn.  The probes share one table, but each check
-    counts its states in its own ``SearchStats``, so its verdict does not
-    depend on the checks before it.
+    counts its states from zero against the whole budget, so its verdict
+    does not depend on the checks before it.
     """
 
     def __init__(self, g: Graph, psi_fn=psi, phi_fn=phi):
@@ -434,53 +432,55 @@ def _units(cfg: SuiteConfig, psi_fn, phi_fn):
             yield f"random/{i}/m={m}", i, random_poset(m, density, cfg.seed * 7_919 + i)
 
 
-def _run_unit(report: SuiteReport, psi_fn, phi_fn, unit):
-    """Run, time and judge each check of one unit, appending its cases to
-    ``report``.
-
-    Each check counts its states against a budget of its own; running out
-    makes it inconclusive, and what it finds wrong fails it, with the
-    unit's instance attached.  A lemma unit has one check per (chosen, e)
-    case, on one shared context.
-    """
-    name, index, instance = unit
-    cfg = report.config
-    clock = time.perf_counter
-    suite = _SUITES[cfg.suite]
-    if suite.check is None:
-        ctx = BOnlyContext(instance, psi_fn, phi_fn)
-        check, fns = _check_lemma, ()
-        picks = _lemma_cases(ctx, _LEMMAS[cfg.suite][0], index, cfg.seed)
-        cases = ((cfg.suite, ctx, *case) for case in picks)
-    else:
-        check, fns = suite.check, (psi_fn, phi_fn)
-        cases = ((instance,),)
-    verdicts, states, millis, details = report._verdicts, report._states, report._millis, report._details
-    for args in cases:
-        stats = SearchStats(budget=cfg.budget)
-        t0 = clock()
-        try:
-            wrong = check(*args, stats, *fns)
-        except BudgetExceeded:
-            details[len(verdicts)] = "budget exhausted"
-            verdicts.append(_INCONCLUSIVE)
-        else:
-            if wrong is None:
-                verdicts.append(_PASS)
-            else:
-                text = format_poset(instance) if suite.posets else format_graph(instance)
-                details[len(verdicts)] = f"{wrong} on\n{text}"
-                verdicts.append(_FAIL)
-        states.append(stats.states)
-        millis.append((clock() - t0) * 1000)
-    report._end_unit(name)
-
-
 def _run_units(config: SuiteConfig, psi_fn, phi_fn, units) -> SuiteReport:
-    """A report on ``units``, run in turn."""
+    """A report on ``units``, run in turn: each check of each unit is run,
+    timed and judged, and its case appended to the report's columns.
+
+    The suite's check, the columns and one ``SearchStats`` are bound once.
+    Each case starts from ``states = 0`` against the run's budget, so it
+    counts only its own states; running out makes it inconclusive, and what
+    it finds wrong fails it, with the unit's instance attached.  A lemma
+    unit has one check per (chosen, e) case, on one shared context; any
+    other unit is one case.
+    """
     report = SuiteReport(config)
-    for unit in units:
-        _run_unit(report, psi_fn, phi_fn, unit)
+    suite = _SUITES[config.suite]
+    lemma = config.suite if suite.check is None else None
+    check = _check_lemma if lemma else suite.check
+    show = format_poset if suite.posets else format_graph
+    names, name_ends, ends = report._names, report._name_ends, report._ends
+    verdicts, states, millis, details = report._verdicts, report._states, report._millis, report._details
+    stats = SearchStats(budget=config.budget)
+    clock = time.perf_counter
+    one_case = ((None, None),)  # (chosen, e) of a unit that is not a lemma's
+    for name, index, instance in units:
+        if lemma:
+            ctx = BOnlyContext(instance, psi_fn, phi_fn)
+            cases = _lemma_cases(ctx, _LEMMAS[lemma][0], index, config.seed)
+        else:
+            cases = one_case
+        for chosen, e in cases:
+            stats.states = 0
+            t0 = clock()
+            try:
+                if lemma:
+                    wrong = check(lemma, ctx, chosen, e, stats)
+                else:
+                    wrong = check(instance, stats, psi_fn, phi_fn)
+            except BudgetExceeded:
+                details[len(verdicts)] = "budget exhausted"
+                verdicts.append(_INCONCLUSIVE)
+            else:
+                if wrong is None:
+                    verdicts.append(_PASS)
+                else:
+                    details[len(verdicts)] = f"{wrong} on\n{show(instance)}"
+                    verdicts.append(_FAIL)
+            states.append(stats.states)
+            millis.append((clock() - t0) * 1000)
+        names += name.encode()
+        name_ends.append(len(names))
+        ends.append(len(verdicts))
     return report
 
 

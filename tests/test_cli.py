@@ -21,6 +21,8 @@ from posetgames import (
 )
 from posetgames import cli
 from posetgames.cli import main
+from posetgames.games import KaylesGame
+from posetgames.solver import BudgetExceeded, SearchStats, TranspositionTable, grundy, solve_winner
 
 from shapes import complete_graph, graph_sum, sets_of
 
@@ -132,13 +134,37 @@ class TestWinner:
         args = [sys.executable, "-c", code, "grundy", "--game", game, "--budget", "1", str(path)]
         run = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode in (0, 2), run.stderr
-        assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
+        assert "Traceback" not in run.stderr
+        # a solve that ends prints its stats line, and one stopped by the
+        # budget follows it with one undecided line; memory gives one error line
+        err = run.stderr.splitlines()
+        if re.fullmatch(r"states=\d+ hits=\d+ millis=[\d.]+", err[0]):
+            assert err[1:] == ([] if run.returncode == 0 else ["undecided: budget exhausted"])
+        else:
+            assert (run.returncode, err) == (2, ["error: the input needs more memory than is available"])
 
     def test_budget_exit_2(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         path.write_text(format_graph(complete_graph(4)))
         assert main(["winner", "--game", "kayles", "--budget", "1", str(path)]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, solve", [("winner", solve_winner), ("grundy", grundy)])
+    def test_budget_exhausted_prints_its_stats(self, tmp_path, capsys, command, solve):
+        # where the budget went: the stats line of the stopped solve, then the
+        # undecided line; nothing on stdout
+        g = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
+        path = tmp_path / "p4.graph"
+        path.write_text(format_graph(g))
+        table, stats = TranspositionTable(), SearchStats(budget=3)
+        with pytest.raises(BudgetExceeded):
+            solve(KaylesGame(g), table=table, stats=stats)
+        assert main([command, "--game", "kayles", "--budget", "3", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        first, second = err.splitlines()
+        assert re.fullmatch(rf"states={stats.states} hits={table.hits} millis=\d+\.\d", first)
+        assert stats.states == 4 and second == "undecided: budget exhausted"
 
     @pytest.mark.parametrize("command", ["winner", "grundy", "play", "verify"])
     @pytest.mark.parametrize("budget", ["0", "-1"])

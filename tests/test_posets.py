@@ -211,6 +211,27 @@ class TestDownSets:
         assert every == p
 
 
+class TestImmutable:
+    """A poset's hash and equality read its fields, and its lower cones and
+    cached covers follow from ``up``: no field can be assigned or deleted,
+    before or after the covers are cached, and a refused write changes
+    nothing."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "covers-cached"])
+    @pytest.mark.parametrize("name", Poset.__slots__)
+    def test_fields_refuse_writes(self, name, cached):
+        p = chain(3)
+        if cached:
+            list(p.cover_pairs())
+        before = (p.m, p.up, p.down, p._covers, hash(p))
+        with pytest.raises(AttributeError, match=name):
+            setattr(p, name, (1, 2, 4))
+        with pytest.raises(AttributeError, match=name):
+            delattr(p, name)
+        assert (p.m, p.up, p.down, p._covers, hash(p)) == before
+        assert p == chain(3)
+
+
 class TestPickle:
     """``verify --jobs`` sends posets to its workers: phi images and random
     posets must come back with every table they left with."""

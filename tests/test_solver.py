@@ -671,6 +671,49 @@ class TestPositionRange:
         with pytest.raises(ValueError, match="not a set of the game's 3 elements"):
             solve(PosetGame(chain(3)), pos)
 
+    @pytest.mark.parametrize("pos", [-1, -8, 1 << 3, 0b1111])
+    @pytest.mark.parametrize("solve", [solve_winner, grundy])
+    def test_rejected_on_a_warm_table(self, solve, pos):
+        # every position of the game is stored, so only the check can refuse it
+        game, table = PosetGame(chain(3)), TranspositionTable()
+        for p in range(8):
+            solve_winner(game, p, table)
+            grundy(game, p, table)
+        with pytest.raises(ValueError, match="not a set of the game's 3 elements"):
+            solve(game, pos, table)
+
+
+class TestStoredRoot:
+    """A root the table holds is answered by one lookup: one table hit, no
+    state, no position check and no stats built; a passed budget still
+    lands in the stats."""
+
+    @pytest.mark.parametrize("solve", [solve_winner, grundy])
+    @pytest.mark.parametrize("pos", [None, 0b011, 0])
+    def test_one_hit_and_no_state(self, solve, pos, monkeypatch):
+        game, table, stats = KaylesGame(P3), TranspositionTable(), SearchStats()
+        first = solve(game, pos, table, stats=stats)
+        states, hits = stats.states, table.hits
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stored root was checked or given stats")
+
+        monkeypatch.setattr(game, "_check_position", refuse)
+        monkeypatch.setattr(solver, "SearchStats", refuse)
+        assert solve(game, pos, table, stats=stats) == first
+        assert solve(game, pos, table) == first
+        assert (stats.states, table.hits) == (states, hits + 2)
+
+    @pytest.mark.parametrize("solve", [solve_winner, grundy])
+    def test_budget_lands_in_stats(self, solve):
+        game, table, stats = KaylesGame(C8), TranspositionTable(), SearchStats()
+        solve(game, table=table, budget=1000, stats=stats)  # a miss
+        assert stats.budget == 1000
+        solve(game, table=table, budget=7, stats=stats)  # a stored root
+        assert stats.budget == 7
+        solve(game, table=table, stats=stats)  # no budget passed: the stats keep theirs
+        assert stats.budget == 7
+
 
 class TestBestMove:
     def test_p3_center(self):

@@ -27,9 +27,8 @@ from posetgames.verify import (
     DEFAULT_SEED,
     SUITES,
     SuiteConfig,
-    SuiteReport,
     _check_lemma,
-    _run_unit,
+    _run_units,
     _units,
     check_lemma1,
     check_psi_properties,
@@ -50,14 +49,12 @@ def row(r):
 
 
 def run_unit(cfg, unit, psi_fn=psi, phi_fn=phi):
-    """The rows that ``_run_unit`` adds to a fresh report on ``unit``."""
-    report = SuiteReport(cfg)
-    _run_unit(report, psi_fn, phi_fn, unit)
-    return report.results
+    """The rows of a report on the one unit ``unit``."""
+    return _run_units(cfg, psi_fn, phi_fn, [unit]).results
 
 
 def run_one(suite, instance, budget=verify.DEFAULT_BUDGET, psi_fn=psi, phi_fn=phi):
-    """``(instance, verdict, states, detail)`` of each result of ``_run_unit``
+    """``(instance, verdict, states, detail)`` of each result of ``_run_units``
     on the one unit ``instance``, named "unit"."""
     results = run_unit(SuiteConfig(suite, budget=budget), ("unit", 0, instance), psi_fn, phi_fn)
     return list(map(row, results))
@@ -170,7 +167,7 @@ class TestLemma4Check:
 
 
 class TestRunUnitAgainstFreshContext:
-    """``_run_unit`` runs a unit's lemma cases as vertex masks on one context,
+    """``_run_units`` runs a unit's lemma cases as vertex masks on one context,
     with a cached position per mask and one table.  Each case must see the
     position built directly from its picks and get the verdict of
     ``_check_lemma`` on a fresh context; the exhaustive cases must be the
@@ -342,6 +339,18 @@ class TestRunSuite:
             "INCONCLUSIVE n=2/g=1: budget exhausted",
             "FAIL",
         ]
+
+    def test_each_case_counts_its_own_states(self):
+        # one stats object serves the whole run: with a budget that the middle
+        # case runs out of and the others do not, each case must still match
+        # a run of its unit alone
+        cfg = SuiteConfig("theorem", max_n=2, budget=100)
+        report = run_suite(cfg)
+        rows = [row(r) for r in report.results]
+        assert [verdict for _, verdict, _, _ in rows] == ["pass", "inconclusive", "pass"]
+        alone = [(name, *run_one("theorem", g, budget=cfg.budget)[0][1:])
+                 for name, _, g in _units(cfg, psi, phi)]
+        assert rows == alone
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_jobs_match_sequential(self, suite):
