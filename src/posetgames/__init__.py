@@ -13,7 +13,6 @@ from .graphs import (
 from .posets import (
     Poset,
     Violation,
-    antichain,
     chain,
     format_poset,
     parse_poset,

@@ -182,15 +182,6 @@ class MaskGame:
             todo ^= low
         return pos ^ rest
 
-    def components(self, pos: int) -> list[int]:
-        """The connected components of ``pos``, lowest element first."""
-        parts = []
-        while pos:
-            part = self.component(pos)
-            parts.append(part)
-            pos ^= part
-        return parts
-
 
 def _never(p: int) -> None:
     return None
@@ -263,8 +254,7 @@ class SetGame(_Record):
             raise ValueError("universe size must be non-negative")
         if reduce(or_, masks, 0) >> universe:  # a negative mask shifts down to -1
             raise ValueError(f"a set mask is negative or holds an element outside universe {universe}")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "masks", masks)
+        super().__init__(universe, masks)
 
     @property
     def k(self) -> int:

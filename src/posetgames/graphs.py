@@ -58,12 +58,20 @@ class _Record:
 
     Equality, hash and repr are those of the tuple of fields, as for a frozen
     dataclass, without the code generation that a dataclass compiles at
-    import.  Assignment raises AttributeError; constructors set the fields
-    with ``object.__setattr__``, and pickling rebuilds a record from its
-    fields without calling ``__init__``.
+    import.  ``_Record.__init__`` takes one value per slot, in slot order,
+    and is where a record's fields are written: a subclass that checks its
+    arguments calls it once they pass, and pickling rebuilds a record through
+    it (``_rebuild``) without the checks.  Assignment raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        slots = self.__slots__
+        if len(fields) != len(slots):
+            raise TypeError(f"{self.__class__.__name__} takes {len(slots)} fields, got {len(fields)}")
+        for name, value in zip(slots, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -91,10 +99,10 @@ class _Record:
 
 
 def _rebuild(cls, fields):
-    """The record of class ``cls`` with these field values, unchecked."""
+    """The object of class ``cls`` whose slots hold ``fields``, unchecked:
+    a record, or a ``Poset``, which has slots but no ``_Record`` base."""
     self = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        object.__setattr__(self, name, value)
+    _Record.__init__(self, *fields)
     return self
 
 
@@ -113,12 +121,16 @@ class Graph(_Record):
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        super().__init__(n, edges)
 
     @classmethod
     def _unchecked(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":
-        """A graph from edges already known to be in range and normalized."""
+        """A graph from edges already known to be in range and normalized.
+
+        Enumeration and ``psi`` build graphs here, about 70 000 in a run of
+        the default suites, so the two fields are written directly: through
+        ``_Record.__init__`` a build took 1.35 µs against 0.80 µs (CPython
+        3.11)."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)

@@ -36,10 +36,6 @@ class Violation(_Record):
     axiom: str  # "reflexive" | "antisymmetric" | "transitive"
     witnesses: tuple[int, ...]
 
-    def __init__(self, axiom: str, witnesses: tuple[int, ...]):
-        object.__setattr__(self, "axiom", axiom)
-        object.__setattr__(self, "witnesses", witnesses)
-
     def __str__(self):
         return f"{self.axiom} violated at {self.witnesses}"
 
@@ -87,10 +83,11 @@ class Poset:
 
     Built only as an order: ``Poset(...)`` itself refuses every argument.
     As for a ``_Record``, assigning or deleting a field raises
-    AttributeError: ``_closed`` and the ``_covers`` cache write through
-    ``object.__setattr__``, and pickling rebuilds a poset from its fields.
-    Equality and hash read only ``m`` and ``up``, which ``down`` and the
-    covers follow from."""
+    AttributeError: ``_closed`` and pickling set the four slots through
+    ``_rebuild``, and the lazy ``_covers`` cache writes its one slot through
+    ``object.__setattr__``.  Equality and hash read only ``m`` and ``up``,
+    which ``down`` and the covers follow from.  It is not a ``_Record``
+    subclass: that form kept more memory in the suites."""
 
     __slots__ = ("m", "up", "down", "_covers")
 
@@ -100,13 +97,8 @@ class Poset:
     @classmethod
     def _closed(cls, m, up, down) -> "Poset":
         """A poset from rows already known to be a partial order, and their
-        lower cones ``down``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "up", tuple(up))
-        object.__setattr__(self, "down", tuple(down))
-        object.__setattr__(self, "_covers", None)
-        return self
+        lower cones ``down``; its covers are found on first use."""
+        return _rebuild(cls, (m, tuple(up), tuple(down), None))
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
@@ -219,10 +211,6 @@ def _cones(m: int, succ: Sequence[int]) -> list[int]:
                 state[x] = 2
                 stack.pop()
     return cones
-
-
-def antichain(m: int) -> Poset:
-    return Poset.from_pairs(m, ())
 
 
 def chain(m: int) -> Poset:

@@ -51,11 +51,6 @@ class PhiImage(_Record):
     source: Graph
     edge_order: tuple[Edge, ...]
 
-    def __init__(self, poset: Poset, source: Graph, edge_order: tuple[Edge, ...]):
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "edge_order", edge_order)
-
     @property
     def num_edges(self) -> int:
         return len(self.edge_order)

@@ -120,8 +120,8 @@ class SearchStats:
     win/loss search only its root.  A solve that would count more than
     ``budget`` states raises ``BudgetExceeded``."""
 
-    def __init__(self, states: int = 0, budget: int | None = None):
-        self.states = states
+    def __init__(self, budget: int | None = None):
+        self.states = 0
         self.budget = budget
 
 

@@ -9,12 +9,15 @@ either way.  Runs are deterministic for a fixed config, including the
 sampling seed.
 
 A check returns what is wrong, or None when it holds, and counts the states
-of its solves in the ``SearchStats`` it is given.  ``_run_units`` is the one
-loop over units and their cases: it binds the suite's check, the report's
-columns and one budgeted ``SearchStats`` once per run, resets the stats'
-``states`` before each case, calls the check, times it, turns its answer
-into a verdict and appends the case to the columns of a ``SuiteReport``,
-which builds a row object only when one is read.  Lemmas 2-4 are one check
+of its solves in the ``SearchStats`` it is given.  What a faulty reduction
+breaks is returned, so it fails its case and the run goes on; only a
+caller's error, such as a lemma case whose edge is not in the graph,
+raises.  ``_run_units`` is the one loop over units and their cases: it
+binds the suite's check, the report's columns and one budgeted
+``SearchStats`` once per run, resets the stats' ``states`` before each
+case, calls the check, times it, turns its answer into a verdict and
+appends the case to the columns of a ``SuiteReport``, which builds a row
+object only when one is read.  Lemmas 2-4 are one check
 driven by the ``_LEMMAS`` table, and the ``_SUITES`` table holds all
 ``run_suite`` knows about a suite.  A lemma unit is one source graph and
 its ``BOnlyContext``: its cases, each a mask of vertex picks and an edge,
@@ -31,7 +34,6 @@ import random
 import time
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -106,10 +108,12 @@ class SuiteReport:
     ``_names``, and ``_ends[u]``, the index where its cases end.  Per case: a
     verdict code, its states and its millis.  A case that did not pass has
     its detail in ``_details``, keyed by case index in increasing order.  A
-    case costs about 18 bytes; ``results`` builds its ``InstanceResult``
-    only when read.  In a lemma suite a unit has one case per (chosen, e)
-    pair, named ``{unit}/case={k}``; in the others a unit is one case, named
-    by the unit.
+    case costs about 18 bytes.  ``results`` is read in order: it has a
+    length, and its iterator builds each case's ``InstanceResult`` as it
+    reaches it.  ``failures`` and ``inconclusives`` are lists.  In a lemma
+    suite a unit has one case per (chosen, e) pair, named
+    ``{unit}/case={k}``; in the others a unit is one case, named by the
+    unit.
     """
 
     def __init__(self, config: SuiteConfig):
@@ -215,10 +219,9 @@ class SuiteReport:
             ) + "\n"
 
 
-class _Results(Sequence):
-    """A read-only view of a report's cases as ``InstanceResult`` rows.  A row
-    is built each time it is read and never kept; a slice is a list of the
-    rows it selects, built on read."""
+class _Results:
+    """A report's cases as ``InstanceResult`` rows, in order.  A row is built
+    each time it is read and never kept."""
 
     __slots__ = ("_report",)
 
@@ -227,14 +230,6 @@ class _Results(Sequence):
 
     def __len__(self) -> int:
         return len(self._report._verdicts)
-
-    def __getitem__(self, i: int | slice) -> InstanceResult | list[InstanceResult]:
-        n = len(self)
-        if isinstance(i, slice):
-            return [self._report._case(k) for k in range(*i.indices(n))]
-        if not -n <= i < n:
-            raise IndexError("result index out of range")
-        return self._report._case(i % n)
 
     def __iter__(self):
         return self._report._rows()
@@ -343,9 +338,10 @@ _ENDPOINTS = ("neither endpoint", "exactly one endpoint", "both endpoints")
 
 def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e, stats: SearchStats) -> str | None:
     """Play each probed move of ``lemma`` after picking the vertices in the
-    mask ``chosen``, and check the value of its child.  The edge, its
-    endpoints in ``chosen`` and the probed elements are checked before the
-    first solve."""
+    mask ``chosen``, and check the value of its child.  The edge and its
+    endpoints in ``chosen`` are checked first: a wrong one is a caller's
+    error.  A probed element that the picks already removed is a fault of
+    the reduction, so it fails the case."""
     endpoints, probes, reply, detail = _LEMMAS[lemma]
     edge = ctx.edges.get(e)
     if edge is None:
@@ -353,10 +349,9 @@ def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e, stats: SearchSta
     if (chosen & edge[2]).bit_count() != endpoints:
         raise ValueError(f"{lemma} needs {_ENDPOINTS[endpoints]} of e in the chosen set")
     pos = ctx._after(chosen)
-    for _, k in probes:
-        if not pos >> edge[k] & 1:
-            raise ValueError(f"edge {e} already removed from the position")
     for probe, k in probes:
+        if not pos >> edge[k] & 1:
+            return f"{probe} for {e} removed by the picks, chosen={mask_to_sorted(chosen)}"
         child = pos & ~ctx.game.kill[edge[k]]
         if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
             return (f"{left} vertex-level elements left after gamma({e}), "

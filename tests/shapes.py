@@ -1,6 +1,7 @@
-"""Graphs, posets and set games that the tests build often.
+"""Graphs, posets and set games that the tests build often, and the
+connected components of a position.
 
-Each is built through the library's own constructors, ``Graph.of``,
+Each shape is built through the library's own constructors, ``Graph.of``,
 ``Poset.from_pairs`` and ``SetGame``, so a shape is checked the way a
 user's input is.
 """
@@ -26,6 +27,10 @@ def graph_sum(*parts):
     return Graph.of(n, edges)
 
 
+def antichain(m):
+    return Poset.from_pairs(m, ())
+
+
 def poset_sum(*parts):
     """Order-disjoint union; each part's elements are shifted up past the parts before it."""
     m, pairs = 0, []
@@ -43,3 +48,12 @@ def set_game(universe, sets):
 def sets_of(game):
     """A set game's sets, as frozensets of their elements."""
     return tuple(frozenset(mask_to_sorted(mask)) for mask in game.masks)
+
+
+def components(game, pos):
+    """The connected components of ``pos`` in ``game``, lowest element first."""
+    parts = []
+    while pos:
+        parts.append(game.component(pos))
+        pos ^= parts[-1]
+    return parts

@@ -13,7 +13,6 @@ from posetgames import (
     Graph,
     format_graph,
     format_poset,
-    antichain,
     chain,
     parse_poset,
     parse_setgame,
@@ -24,7 +23,7 @@ from posetgames.cli import main
 from posetgames.games import KaylesGame
 from posetgames.solver import BudgetExceeded, SearchStats, TranspositionTable, grundy, solve_winner
 
-from shapes import complete_graph, graph_sum, sets_of
+from shapes import antichain, complete_graph, graph_sum, sets_of
 
 
 @pytest.fixture

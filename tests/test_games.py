@@ -22,7 +22,7 @@ from posetgames import (
 from posetgames.posets import mask_to_sorted
 
 from oracle import is_down_set, naive_links
-from shapes import complete_graph, poset_sum, set_game
+from shapes import complete_graph, components, poset_sum, set_game
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 
@@ -181,7 +181,7 @@ class TestSharedInvariants:
     @given(any_rules(), st.data())
     def test_components_split_the_moves(self, rules, data):
         pos = data.draw(st.integers(0, rules.initial()))
-        parts = rules.components(pos)
+        parts = components(rules, pos)
         union = 0
         for part in parts:
             assert part and not part & union

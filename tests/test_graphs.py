@@ -10,6 +10,7 @@ from posetgames import (
     FormatError,
     Graph,
     KaylesGame,
+    PhiImage,
     SetGame,
     Violation,
     enumerate_labeled_graphs,
@@ -21,13 +22,13 @@ from posetgames import (
 )
 from posetgames.graphs import mask_to_sorted
 
-from shapes import complete_graph, graph_sum
+from shapes import complete_graph, components, graph_sum
 
 
-def components(g):
+def vertex_components(g):
     """g's connected components as vertex lists, ordered by lowest vertex."""
     game = KaylesGame(g)
-    return [mask_to_sorted(part) for part in game.components(game.initial())]
+    return [mask_to_sorted(part) for part in components(game, game.initial())]
 
 
 def small_graphs(max_n=4):
@@ -78,7 +79,7 @@ class TestDisjointUnion:
     def test_two_k2(self):
         g = graph_sum(complete_graph(2), complete_graph(2))
         assert g.n == 4 and len(g.edges) == 2
-        assert len(components(g)) == 2
+        assert len(vertex_components(g)) == 2
 
     def test_empty_identity(self):
         empty = Graph.of(0)
@@ -96,7 +97,7 @@ class TestDisjointUnion:
         assert left.n == right.n
         assert len(left.edges) == len(right.edges)
         key = lambda comps: sorted(len(comp) for comp in comps)
-        assert key(components(left)) == key(components(right))
+        assert key(vertex_components(left)) == key(vertex_components(right))
 
 
 class TestEnumeration:
@@ -166,11 +167,11 @@ class TestAdjacency:
                 for w in merged:
                     label[w] = merged
         naive = sorted({min(c): c for c in label.values()}.items())
-        assert components(g) == [sorted(c) for _, c in naive]
+        assert vertex_components(g) == [sorted(c) for _, c in naive]
 
     def test_path_components(self):
         g = Graph.of(6, [(0, 3), (3, 5), (1, 2)])
-        assert components(g) == [[0, 3, 5], [1, 2], [4]]
+        assert vertex_components(g) == [[0, 3, 5], [1, 2], [4]]
 
 
 class TestFormat:
@@ -342,6 +343,17 @@ class TestRecords:
         assert type(b) is type(a) and b == a and hash(b) == hash(a) and repr(b) == text
         with pytest.raises(AttributeError):
             setattr(b, text[text.index("(") + 1:text.index("=")], None)
+
+    @pytest.mark.parametrize("cls, fields", [
+        (Violation, ("reflexive",)),
+        (Violation, ("reflexive", (4,), None)),
+        (PhiImage, ()),
+        (PhiImage, (None, None, None, None)),
+    ], ids=["Violation-1", "Violation-3", "PhiImage-0", "PhiImage-4"])
+    def test_field_count_checked(self, cls, fields):
+        # a record with no checks of its own takes one value per slot
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(cls.__slots__)} fields, got {len(fields)}$"):
+            cls(*fields)
 
     def test_violation_str(self):
         assert str(Violation("reflexive", (4,))) == "reflexive violated at (4,)"

@@ -9,7 +9,6 @@ from posetgames import (
     Graph,
     Poset,
     PosetGame,
-    antichain,
     chain,
     enumerate_labeled_graphs,
     format_poset,
@@ -22,7 +21,7 @@ from posetgames import (
 from posetgames.posets import mask_to_sorted
 
 from oracle import is_down_set, naive_closure, naive_transpose, naive_violation
-from shapes import complete_graph, poset_sum
+from shapes import antichain, complete_graph, poset_sum
 
 
 @st.composite

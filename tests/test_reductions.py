@@ -8,7 +8,6 @@ from posetgames import (
     KaylesGame,
     PosetGame,
     SetGameRules,
-    antichain,
     chain,
     enumerate_labeled_graphs,
     format_phi_mapping,
@@ -23,12 +22,12 @@ from posetgames import (
 from posetgames.posets import Poset, mask_to_sorted
 
 from oracle import naive_transpose
-from shapes import complete_graph, graph_sum, set_game, sets_of
+from shapes import antichain, complete_graph, components, graph_sum, set_game, sets_of
 
 
 def component_sizes(g):
     game = KaylesGame(g)
-    return sorted(part.bit_count() for part in game.components(game.initial()))
+    return sorted(part.bit_count() for part in components(game, game.initial()))
 
 
 class TestPsi:

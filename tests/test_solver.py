@@ -18,7 +18,6 @@ from posetgames import (
     SearchStats,
     SetGameRules,
     TranspositionTable,
-    antichain,
     best_move,
     chain,
     enumerate_labeled_graphs,
@@ -35,7 +34,7 @@ from posetgames import solver
 from posetgames.posets import mask_to_sorted
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
 from oracle import is_down_set, naive_kayles_grundy, naive_links, naive_mex, naive_poset_grundy, naive_setgame_grundy
-from shapes import complete_graph, graph_sum, poset_sum, set_game, sets_of
+from shapes import antichain, complete_graph, components, graph_sum, poset_sum, set_game, sets_of
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
 K2K2 = graph_sum(complete_graph(2), complete_graph(2))
@@ -287,6 +286,33 @@ class TestStateCounts:
             assert "twins" in game.__dict__
 
 
+class TestDawsonImages:
+    """The poset side of phi(psi(g)) against Dawson's Kayles, an answer key
+    that needs no search: G(n) is the Grundy value of Node Kayles on P_n
+    (``dawson``), and psi's padding is *1 + *1 = 0.  A cycle C_n has one
+    move up to rotation, to P_(n-3); a union P_a + P_b is worth G(a) ^ G(b),
+    while its image is connected through the gamma level, so the poset side
+    solves it whole."""
+
+    @staticmethod
+    def poset_side(g):
+        return solve_winner(PosetGame(phi(psi(g)).poset))
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_path(self, n):
+        assert self.poset_side(path(n)) is outcome(dawson(n))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycle(self, n):
+        assert self.poset_side(Graph.of(n, [(i, (i + 1) % n) for i in range(n)])) is outcome(dawson(n - 3) == 0)
+
+    def test_two_path_unions(self):
+        pairs = [(a, b) for a in range(1, 12) for b in range(a, 13 - a)]
+        assert len(pairs) == 36
+        for a, b in pairs:
+            assert self.poset_side(graph_sum(path(a), path(b))) is outcome(dawson(a) ^ dawson(b)), (a, b)
+
+
 class TestAntichains:
     """Win/loss search answers an antichain by its parity, without searching
     it: it is a sum of single elements, each worth *1."""
@@ -346,7 +372,7 @@ class TestChains:
             p = random_poset(rng.randint(1, 7), rng.uniform(0.3, 1), DEFAULT_SEED * 31 + i)
             game = PosetGame(p)
             for pos in range(1 << p.m):
-                chains += any((game.nim_heap(part) or 0) > 1 for part in game.components(pos))
+                chains += any((game.nim_heap(part) or 0) > 1 for part in components(game, pos))
                 want = naive_poset_grundy(p, frozenset(mask_to_sorted(pos)))
                 assert grundy(game, pos) == want, f"{pos:b} in {p.up}"
         assert chains > 1000  # 1 157 of the 2 100 positions hold a chain of two or more
@@ -361,7 +387,7 @@ class TestChains:
             g = Graph.of(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
             game, table = KaylesGame(g), TranspositionTable()
             for pos in range(1 << n):
-                cliques += any(part.bit_count() > 1 and game.nim_heap(part) for part in game.components(pos))
+                cliques += any(part.bit_count() > 1 and game.nim_heap(part) for part in components(game, pos))
                 want = naive_kayles_grundy(g, frozenset(mask_to_sorted(pos)))
                 assert grundy(game, pos, table) == want, f"{pos:b} in {sorted(g.edges)}"
                 assert solve_winner(game, pos, table) is outcome(want), f"{pos:b} in {sorted(g.edges)}"
@@ -868,7 +894,7 @@ class TestTwins:
             return
         g = with_graph_twins(g, picks, adjacent)
         if hub:
-            parts = KaylesGame(g).components((1 << g.n) - 1)
+            parts = components(KaylesGame(g), (1 << g.n) - 1)
             g = Graph.of(g.n + 1, list(g.edges) + [((part & -part).bit_length() - 1, g.n) for part in parts])
         game = KaylesGame(g)
         pos = play(game, data, steps)
