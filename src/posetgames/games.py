@@ -64,6 +64,8 @@ class MaskGame:
         return pos & ~self.kill[i]
 
     def _check_position(self, pos: int) -> None:
+        if not isinstance(pos, int):
+            raise TypeError(f"a position is an int mask, not {type(pos).__name__}")
         if pos < 0 or pos >> self.size:
             raise ValueError(f"position {pos} is not a set of the game's {self.size} elements")
 

@@ -44,6 +44,9 @@ class PhiImage(_Record):
     gamma), B holds the vertices, C holds the edges.  Element indices are
     laid out A-block first (in edge order), then B (vertex order), then C
     (edge order), so gamma is a fixed offset between the C and A blocks.
+    ``b_elements()`` and ``c_elements()`` are the B and C blocks as ranges:
+    vertex v is element ``b_elements()[v]``, and edge ``edge_order[a]`` is
+    element ``c_elements()[a]`` above its low copy, element ``a``.
     """
 
     __slots__ = ("poset", "source", "edge_order")
@@ -54,11 +57,6 @@ class PhiImage(_Record):
     @property
     def num_edges(self) -> int:
         return len(self.edge_order)
-
-    def b_of_vertex(self, v: int) -> int:
-        if not 0 <= v < self.source.n:
-            raise ValueError(f"vertex {v} out of range")
-        return self.num_edges + v
 
     def b_elements(self) -> range:
         return range(self.num_edges, self.num_edges + self.source.n)
@@ -114,12 +112,10 @@ def poset_to_setgame(p: Poset) -> SetGame:
 
 
 def format_phi_mapping(image: PhiImage) -> str:
-    """Sidecar mapping file: which graph feature each poset element encodes."""
-    lines = []
-    for i, (u, v) in enumerate(image.edge_order):
-        lines.append(f"A {u} {v} {i}")
-    for v in range(image.source.n):
-        lines.append(f"B {v} {image.b_of_vertex(v)}")
-    for i, (u, v) in enumerate(image.edge_order):
-        lines.append(f"C {u} {v} {image.num_edges + image.source.n + i}")
+    """Sidecar mapping file: which graph feature each poset element encodes,
+    one line per element in index order: ``A u v x`` for gamma of edge uv,
+    ``B v x`` for vertex v and ``C u v x`` for edge uv."""
+    lines = [f"A {u} {v} {x}" for x, (u, v) in enumerate(image.edge_order)]
+    lines += [f"B {v} {x}" for v, x in enumerate(image.b_elements())]
+    lines += [f"C {u} {v} {x}" for (u, v), x in zip(image.edge_order, image.c_elements())]
     return "\n".join(lines) + "\n"

@@ -131,11 +131,15 @@ def _solve(game, pos, table, budget, stats, grundy: bool):
 
     A root the table holds is answered by its one lookup, before it is
     validated and before any stats are built: the table stores only sets of
-    its game's elements.  A miss is validated, unless it is the initial
+    its game's elements.  Only a position that is not exactly an ``int`` is
+    checked first, so that one equal to a stored set (``3.0``) raises as it
+    would on a fresh table.  A miss is validated, unless it is the initial
     position that None stands for."""
     given = pos is not None
     if not given:
         pos = game.initial()
+    elif pos.__class__ is not int:
+        game._check_position(pos)
     if table is None:
         table = TranspositionTable()
     rules = game.size, game.legal, game.kill

@@ -11,19 +11,22 @@ sampling seed.
 A check returns what is wrong, or None when it holds, and counts the states
 of its solves in the ``SearchStats`` it is given.  What a faulty reduction
 breaks is returned, so it fails its case and the run goes on; only a
-caller's error, such as a lemma case whose edge is not in the graph,
-raises.  ``_run_units`` is the one loop over units and their cases: it
-binds the suite's check, the report's columns and one budgeted
-``SearchStats`` once per run, resets the stats' ``states`` before each
-case, calls the check, times it, turns its answer into a verdict and
-appends the case to the columns of a ``SuiteReport``, which builds a row
-object only when one is read.  Lemmas 2-4 are one check
-driven by the ``_LEMMAS`` table, and the ``_SUITES`` table holds all
-``run_suite`` knows about a suite.  A lemma unit is one source graph and
-its ``BOnlyContext``: its cases, each a mask of vertex picks and an edge,
-are checked in turn on that context, which caches the position after each
-mask.  Most of their probes are answered by one lookup in the context's
-table, which the solver makes before it validates the position.
+caller's error, such as a ``max_n`` past its suite's cap, raises.
+``_run_units`` is the one loop over units and their cases: it binds the
+suite's check, the report's columns and one budgeted ``SearchStats`` once
+per run, resets the stats' ``states`` before each case, calls the check,
+times it, turns its answer into a verdict and appends the case to the
+columns of a ``SuiteReport``, which builds a row object only when one is
+read.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table, and the
+``_SUITES`` table holds all ``run_suite`` knows about a suite.  A lemma
+unit is one source graph and its ``BOnlyContext``: its cases, each a mask
+of vertex picks and the index of an edge in the image's ``edge_order``, are
+checked in turn on that context, which caches the position after each
+mask.  The index names both probed elements in ``phi``'s layout, so a case
+looks nothing up, and ``_lemma_cases`` yields only cases with the lemma's
+count of the edge's endpoints, so the check does not count them again.
+Most of the probes are answered by one lookup in the context's table,
+which the solver makes before it validates the position.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .solver import (
 )
 from .suites import DEFAULT_BUDGET, DEFAULT_SEED, SUITES
 
-# exhaustive (chosen, e) cross products are only affordable for tiny sources;
+# exhaustive (chosen, edge) cross products are only affordable for tiny sources;
 # larger sources get a fixed-size seeded sample per graph
 LEMMA_EXHAUSTIVE_MAX_N = 3
 LEMMA_MAX_N = 4
@@ -111,7 +114,7 @@ class SuiteReport:
     case costs about 18 bytes.  ``results`` is read in order: it has a
     length, and its iterator builds each case's ``InstanceResult`` as it
     reaches it.  ``failures`` and ``inconclusives`` are lists.  In a lemma
-    suite a unit has one case per (chosen, e) pair, named
+    suite a unit has one case per (chosen, a) pair, named
     ``{unit}/case={k}``; in the others a unit is one case, named by the
     unit.
     """
@@ -287,28 +290,27 @@ class BOnlyContext:
 
     Vertex-level elements are pairwise incomparable and are removed only by
     being picked directly, so a history that stays on that level is just a
-    subset of vertices; order does not matter.  What every probe reads is
-    built once: ``cones[v]``, the up-cone mask of vertex v's element;
-    ``edges[e]``, edge e's low copy, its element and the mask of its
-    endpoints; ``b_mask``, the vertex level.  The position after each set of
-    picks is cached by the set's mask, since the exhaustive cases pick one
-    set for every edge in turn.  The probes share one table, but each check
-    counts its states from zero against the whole budget, so its verdict
-    does not depend on the checks before it.
+    subset of vertices; order does not matter.  The image's layout names
+    every element a case needs: edge ``a`` of ``image.edge_order`` has its
+    low copy gamma(e) at element ``a`` and e itself at ``c_start + a``.
+    What every probe reads is built once: ``cones[v]``, the up-cone mask of
+    vertex v's element; ``ends[a]``, the mask of edge a's endpoints;
+    ``b_mask``, the vertex level.  The position after each set of picks is
+    cached by the set's mask, since the exhaustive cases pick one set for
+    every edge in turn.  The probes share one table, but each check counts
+    its states from zero against the whole budget, so its verdict does not
+    depend on the checks before it.
     """
 
     def __init__(self, g: Graph, psi_fn=psi, phi_fn=phi):
         self.source = g
-        self.padded = psi_fn(g)
-        self.image: PhiImage = phi_fn(self.padded)
+        self.image: PhiImage = phi_fn(psi_fn(g))
         self.game = PosetGame(self.image.poset)
         self.table = TranspositionTable()
         up, b_elements = self.image.poset.up, self.image.b_elements()
         self.cones = tuple(up[b] for b in b_elements)
-        c_elements = self.image.c_elements()
-        self.edges = {
-            e: (a, c_elements[a], 1 << e[0] | 1 << e[1]) for a, e in enumerate(self.image.edge_order)
-        }
+        self.ends = tuple(1 << u | 1 << v for u, v in self.image.edge_order)
+        self.c_start = self.image.c_elements().start
         self.b_mask = sum(1 << b for b in b_elements)
         self._positions = {0: self.game.initial()}
 
@@ -323,36 +325,35 @@ class BOnlyContext:
 
 
 # lemma -> (endpoints of e in the chosen set, the moves probed in turn, each
-# with its place in an ``edges`` entry, the value each probe's child must
-# have, fail detail).  With both endpoints of e picked, gamma(e) must win
-# (Lemma 2); with one, it must lose and leave exactly one vertex-level element
-# (Lemma 3); with neither, e and gamma(e) must both lose (Lemma 4).
+# with its block, 0 for gamma(e) in the A block and 1 for e in the C block,
+# the value each probe's child must have, fail detail).  With both endpoints
+# of e picked, gamma(e) must win (Lemma 2); with one, it must lose and leave
+# exactly one vertex-level element (Lemma 3); with neither, e and gamma(e)
+# must both lose (Lemma 4).
 _LEMMAS = {
     "lemma2": (2, (("gamma(e)", 0),), GameValue.LOSS, "gamma({e}) not winning after chosen={chosen}"),
     "lemma3": (1, (("gamma(e)", 0),), GameValue.WIN, "gamma({e}) not losing after chosen={chosen}"),
     "lemma4": (0, (("e", 1), ("gamma(e)", 0)), GameValue.WIN,
                "{probe} for {e} not losing, chosen={chosen}"),
 }
-_ENDPOINTS = ("neither endpoint", "exactly one endpoint", "both endpoints")
 
 
-def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e, stats: SearchStats) -> str | None:
-    """Play each probed move of ``lemma`` after picking the vertices in the
-    mask ``chosen``, and check the value of its child.  The edge and its
-    endpoints in ``chosen`` are checked first: a wrong one is a caller's
-    error.  A probed element that the picks already removed is a fault of
-    the reduction, so it fails the case."""
-    endpoints, probes, reply, detail = _LEMMAS[lemma]
-    edge = ctx.edges.get(e)
-    if edge is None:
-        raise ValueError(f"{e} is not an edge of the padded graph")
-    if (chosen & edge[2]).bit_count() != endpoints:
-        raise ValueError(f"{lemma} needs {_ENDPOINTS[endpoints]} of e in the chosen set")
+def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, a: int, stats: SearchStats) -> str | None:
+    """Play each probed move of ``lemma`` for edge ``a`` of
+    ``ctx.image.edge_order`` after picking the vertices in the mask
+    ``chosen``, and check the value of its child.  The case is taken as
+    ``_lemma_cases`` makes it, with the lemma's endpoint count of the edge
+    in ``chosen``.  A probed element that the picks already removed is a
+    fault of the reduction, so it fails the case, as does a child of the
+    wrong value; the edge itself is read only to name it."""
+    _, probes, reply, detail = _LEMMAS[lemma]
+    e = ctx.image.edge_order[a]
     pos = ctx._after(chosen)
-    for probe, k in probes:
-        if not pos >> edge[k] & 1:
+    for probe, block in probes:
+        x = a + block * ctx.c_start
+        if not pos >> x & 1:
             return f"{probe} for {e} removed by the picks, chosen={mask_to_sorted(chosen)}"
-        child = pos & ~ctx.game.kill[edge[k]]
+        child = pos & ~ctx.game.kill[x]
         if lemma == "lemma3" and (left := (child & ctx.b_mask).bit_count()) != 1:
             return (f"{left} vertex-level elements left after gamma({e}), "
                     f"chosen={mask_to_sorted(chosen)}")
@@ -366,27 +367,28 @@ def _check_lemma(lemma: str, ctx: BOnlyContext, chosen: int, e, stats: SearchSta
 
 
 def _lemma_cases(ctx: BOnlyContext, which: int, graph_index: int, seed: int):
-    """(chosen, e) pairs qualifying for a lemma: ``chosen`` is the mask of the
-    picked vertices, ``which`` of them endpoints of e.  Exhaustive for tiny
-    sources, seeded sample otherwise."""
-    h = ctx.padded
-    edges = sorted(h.edges)
+    """(chosen, a) pairs qualifying for a lemma: ``a`` indexes an edge of
+    ``ctx.image.edge_order`` and ``chosen`` is the mask of the picked
+    vertices, ``which`` of them endpoints of that edge.  Exhaustive for tiny
+    sources, a seeded sample of edges and picks otherwise."""
+    n = ctx.image.source.n
     if ctx.source.n <= LEMMA_EXHAUSTIVE_MAX_N:
-        ends = [(e, ctx.edges[e][2]) for e in edges]
-        for chosen in range(1 << h.n):
-            for e, mask in ends:
+        for chosen in range(1 << n):
+            for a, mask in enumerate(ctx.ends):
                 if (chosen & mask).bit_count() == which:
-                    yield chosen, e
+                    yield chosen, a
         return
     rng = random.Random(seed * 1_000_003 + graph_index)
+    edges = ctx.image.edge_order
     for _ in range(LEMMA_SAMPLES_PER_GRAPH):
-        u, v = e = edges[rng.randrange(len(edges))]
-        chosen = sum(1 << w for w in range(h.n) if w != u and w != v and rng.random() < 0.5)
+        a = rng.randrange(len(edges))
+        u, v = edges[a]
+        chosen = sum(1 << w for w in range(n) if w != u and w != v and rng.random() < 0.5)
         if which == 2:
             chosen |= 1 << u | 1 << v
         elif which == 1:
-            chosen |= 1 << e[rng.randrange(2)]
-        yield chosen, e
+            chosen |= 1 << (u, v)[rng.randrange(2)]
+        yield chosen, a
 
 
 class _Suite(NamedTuple):
@@ -435,7 +437,7 @@ def _run_units(config: SuiteConfig, psi_fn, phi_fn, units) -> SuiteReport:
     Each case starts from ``states = 0`` against the run's budget, so it
     counts only its own states; running out makes it inconclusive, and what
     it finds wrong fails it, with the unit's instance attached.  A lemma
-    unit has one check per (chosen, e) case, on one shared context; any
+    unit has one check per (chosen, a) case, on one shared context; any
     other unit is one case.
     """
     report = SuiteReport(config)
@@ -447,19 +449,19 @@ def _run_units(config: SuiteConfig, psi_fn, phi_fn, units) -> SuiteReport:
     verdicts, states, millis, details = report._verdicts, report._states, report._millis, report._details
     stats = SearchStats(budget=config.budget)
     clock = time.perf_counter
-    one_case = ((None, None),)  # (chosen, e) of a unit that is not a lemma's
+    one_case = ((None, None),)  # (chosen, a) of a unit that is not a lemma's
     for name, index, instance in units:
         if lemma:
             ctx = BOnlyContext(instance, psi_fn, phi_fn)
             cases = _lemma_cases(ctx, _LEMMAS[lemma][0], index, config.seed)
         else:
             cases = one_case
-        for chosen, e in cases:
+        for chosen, a in cases:
             stats.states = 0
             t0 = clock()
             try:
                 if lemma:
-                    wrong = check(lemma, ctx, chosen, e, stats)
+                    wrong = check(lemma, ctx, chosen, a, stats)
                 else:
                     wrong = check(instance, stats, psi_fn, phi_fn)
             except BudgetExceeded:

@@ -73,12 +73,9 @@ class TestPhi:
         nontrivial = {
             (x, y) for x in range(4) for y in range(4) if x != y and p.leq(x, y)
         }
-        b0, b1 = image.b_of_vertex(0), image.b_of_vertex(1)
+        b0, b1 = image.b_elements()
         c = image.c_elements()[image.edge_order.index((0, 1))]
         assert nontrivial == {(b0, c), (b1, c)}
-        for v in (-1, 2):
-            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
-                image.b_of_vertex(v)
 
     def test_k3_low_copies(self):
         image = phi(complete_graph(3))
@@ -88,7 +85,7 @@ class TestPhi:
             a = image.edge_order.index(e)
             opposite = ({0, 1, 2} - set(e)).pop()
             above = set(mask_to_sorted(p.up[a])) - {a}
-            expected = {image.b_of_vertex(opposite)}
+            expected = {image.b_elements()[opposite]}
             expected |= {c for e2, c in zip(image.edge_order, image.c_elements()) if e2 != e}
             assert above == expected
 

@@ -2,6 +2,7 @@ import dis
 import inspect
 import random
 import sys
+from fractions import Fraction
 from functools import reduce
 from operator import xor
 
@@ -33,7 +34,15 @@ from posetgames import (
 from posetgames import solver
 from posetgames.posets import mask_to_sorted
 from posetgames.verify import DEFAULT_SEED, SuiteConfig, run_suite
-from oracle import is_down_set, naive_kayles_grundy, naive_links, naive_mex, naive_poset_grundy, naive_setgame_grundy
+from oracle import (
+    is_down_set,
+    memo_poset_grundy,
+    naive_kayles_grundy,
+    naive_links,
+    naive_mex,
+    naive_poset_grundy,
+    naive_setgame_grundy,
+)
 from shapes import antichain, complete_graph, components, graph_sum, poset_sum, set_game, sets_of
 
 P3 = Graph.of(3, [(0, 1), (1, 2)])
@@ -712,7 +721,8 @@ class TestPositionRange:
 class TestStoredRoot:
     """A root the table holds is answered by one lookup: one table hit, no
     state, no position check and no stats built; a passed budget still
-    lands in the stats."""
+    lands in the stats.  A position that is not an int is refused first,
+    even where it equals a stored one."""
 
     @pytest.mark.parametrize("solve", [solve_winner, grundy])
     @pytest.mark.parametrize("pos", [None, 0b011, 0])
@@ -739,6 +749,26 @@ class TestStoredRoot:
         assert stats.budget == 7
         solve(game, table=table, stats=stats)  # no budget passed: the stats keep theirs
         assert stats.budget == 7
+
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "fresh"])
+    @pytest.mark.parametrize("entry", ["solve_winner", "grundy", "best_move", "apply"])
+    @pytest.mark.parametrize("pos", [3.0, Fraction(3)], ids=["float", "Fraction"])
+    def test_non_int_rejected(self, pos, entry, warm):
+        # 3.0 and Fraction(3) hash and compare equal to the stored set 3, so
+        # only the check before the lookup can refuse them
+        game, table = PosetGame(chain(3)), TranspositionTable()
+        if warm:
+            solve_winner(game, 3, table)
+            grundy(game, 3, table)
+        call = {
+            "solve_winner": lambda: solve_winner(game, pos, table),
+            "grundy": lambda: grundy(game, pos, table),
+            "best_move": lambda: best_move(game, pos, table),
+            "apply": lambda: game.apply(pos, 0),
+        }[entry]
+        with pytest.raises(TypeError, match=f"not {type(pos).__name__}$"):
+            call()
 
 
 class TestBestMove:
@@ -822,6 +852,28 @@ class TestAgainstNaiveOracle:
     def test_setgame(self, m, density, seed):
         s = poset_to_setgame(random_poset(m, density, seed))
         assert grundy(SetGameRules(s)) == naive_setgame_grundy(list(sets_of(s)))
+
+
+class TestAgainstMemoOracle:
+    """Past the naive oracle's reach, 12 to 27 elements, against the memoized
+    one: the twin, antichain and split rules all act at these sizes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phi_images(self, n):
+        for g in enumerate_labeled_graphs(n):
+            p = phi(psi(g)).poset
+            assert_solves(PosetGame(p), None, memo_poset_grundy(p.m, p.up))
+
+    def test_random_posets(self):
+        rng = random.Random(DEFAULT_SEED)
+        for seed in range(60):
+            p = random_poset(rng.randint(12, 20), rng.uniform(0.25, 0.6), seed)
+            assert_solves(PosetGame(p), None, memo_poset_grundy(p.m, p.up))
+
+    @pytest.mark.parametrize("tops", [10, 12, 14])
+    def test_bottom_below_twin_tops(self, tops):
+        p = Poset.from_pairs(tops + 1, [(0, x) for x in range(1, tops + 1)])
+        assert_solves(PosetGame(p), None, memo_poset_grundy(p.m, p.up))
 
 
 def with_poset_twins(p, picks):

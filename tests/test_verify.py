@@ -84,35 +84,28 @@ class TestLemma1Check:
 class TestLemma2Check:
     def test_k2_both_endpoints(self):
         ctx = BOnlyContext(K2)
-        assert _check_lemma("lemma2", ctx, 0b11, (0, 1), SearchStats()) is None
+        assert ctx.image.edge_order[0] == (0, 1)
+        assert _check_lemma("lemma2", ctx, 0b11, 0, SearchStats()) is None
         # after the winning reply only the other low edge copies remain
-        after = ctx.game.apply(ctx._after(0b11), ctx.edges[0, 1][0])
+        after = ctx.game.apply(ctx._after(0b11), 0)
         remaining = [x for x in range(ctx.image.num_edges) if after >> x & 1]
         assert after.bit_count() == len(remaining) == 2
 
     def test_all_vertices_chosen(self):
         ctx = BOnlyContext(K2)
-        for e in ctx.image.edge_order:
-            assert _check_lemma("lemma2", ctx, (1 << ctx.padded.n) - 1, e, SearchStats()) is None
-
-    def test_missing_endpoint_rejected(self):
-        with pytest.raises(ValueError, match="lemma2 needs both endpoints"):
-            _check_lemma("lemma2", BOnlyContext(K2), 0b1, (0, 1), SearchStats())
+        for a in range(ctx.image.num_edges):
+            assert _check_lemma("lemma2", ctx, (1 << ctx.image.source.n) - 1, a, SearchStats()) is None
 
 
 class TestLemma3Check:
     def test_k2_one_endpoint(self):
-        assert _check_lemma("lemma3", BOnlyContext(K2), 0b1, (0, 1), SearchStats()) is None
+        assert _check_lemma("lemma3", BOnlyContext(K2), 0b1, 0, SearchStats()) is None
 
     def test_k3_each_incident_edge(self):
         g = complete_graph(3)
         ctx = BOnlyContext(g)
         for e in ((0, 1), (0, 2)):
-            assert _check_lemma("lemma3", ctx, 0b1, e, SearchStats()) is None
-
-    def test_both_endpoints_rejected(self):
-        with pytest.raises(ValueError, match="lemma3 needs exactly one endpoint"):
-            _check_lemma("lemma3", BOnlyContext(K2), 0b11, (0, 1), SearchStats())
+            assert _check_lemma("lemma3", ctx, 0b1, ctx.image.edge_order.index(e), SearchStats()) is None
 
     def test_removed_gamma_rejected(self):
         # gamma_above_an_endpoint puts vertex 0 below gamma((0, 1)), so the
@@ -121,15 +114,15 @@ class TestLemma3Check:
         ctx = BOnlyContext(K2, phi_fn=gamma_above_an_endpoint)
         assert ctx.image.edge_order[0] == (0, 1)
         stats = SearchStats()
-        assert _check_lemma("lemma3", ctx, 0b1, (0, 1), stats) == (
+        assert _check_lemma("lemma3", ctx, 0b1, 0, stats) == (
             "gamma(e) for (0, 1) removed by the picks, chosen=[0]")
         assert stats.states == 0
 
     def test_winning_gamma_fails(self):
         # a table that calls the child lost makes gamma(e) a winning move
         ctx = BOnlyContext(K2)
-        ctx.table.wins[ctx.game.apply(ctx._after(0b1), ctx.edges[0, 1][0])] = False
-        assert _check_lemma("lemma3", ctx, 0b1, (0, 1), SearchStats()) == (
+        ctx.table.wins[ctx.game.apply(ctx._after(0b1), 0)] = False
+        assert _check_lemma("lemma3", ctx, 0b1, 0, SearchStats()) == (
             "gamma((0, 1)) not losing after chosen=[0]")
 
 
@@ -137,30 +130,45 @@ class TestLemma4Check:
     def test_k2_every_edge(self):
         ctx = BOnlyContext(K2)
         assert len(ctx.image.edge_order) == 3
-        for e in ctx.image.edge_order:
-            assert _check_lemma("lemma4", ctx, 0, e, SearchStats()) is None
+        for a in range(3):
+            assert _check_lemma("lemma4", ctx, 0, a, SearchStats()) is None
 
     def test_k3_inner_edge(self):
-        g = complete_graph(3)
-        assert _check_lemma("lemma4", BOnlyContext(g), 0, (0, 1), SearchStats()) is None
-
-    def test_removed_edge_rejected(self):
-        with pytest.raises(ValueError):
-            _check_lemma("lemma4", BOnlyContext(K2), 0b1, (0, 1), SearchStats())
-
-    @pytest.mark.parametrize("e", [(0, 2), (1, 0)])
-    def test_unknown_edge_rejected(self, e):
-        # psi(K2) adds the edges (2, 3) and (4, 5); edges are given low end first
-        with pytest.raises(ValueError, match=re.escape(f"{e} is not an edge of the padded graph")):
-            _check_lemma("lemma4", BOnlyContext(K2), 0, e, SearchStats())
+        ctx = BOnlyContext(complete_graph(3))
+        assert ctx.image.edge_order[0] == (0, 1)
+        assert _check_lemma("lemma4", ctx, 0, 0, SearchStats()) is None
 
     def test_winning_gamma_fails(self):
         # e itself is still losing; a table that calls gamma(e)'s child lost
         # makes the second probe fail
         ctx = BOnlyContext(K2)
-        ctx.table.wins[ctx.game.apply(ctx._after(0), ctx.edges[0, 1][0])] = False
-        assert _check_lemma("lemma4", ctx, 0, (0, 1), SearchStats()) == (
+        ctx.table.wins[ctx.game.apply(ctx._after(0), 0)] = False
+        assert _check_lemma("lemma4", ctx, 0, 0, SearchStats()) == (
             "gamma(e) for (0, 1) not losing, chosen=[]")
+
+
+@pytest.mark.parametrize("lemma", ["lemma2", "lemma3", "lemma4"])
+def test_lemma_cases_keep_the_endpoint_count(lemma):
+    # _check_lemma trusts its cases: each must index an edge of the image,
+    # pick only padded vertices and hold the lemma's count of that edge's
+    # endpoints.  Labeled n <= 4 runs both the exhaustive and the sampled
+    # branch
+    which = verify._LEMMAS[lemma][0]
+    cfg = SuiteConfig(lemma)
+    assert cfg.resolved_max_n() == 4 > verify.LEMMA_EXHAUSTIVE_MAX_N
+    cases = 0
+    for _, gi, g in _units(cfg, psi, phi):
+        ctx = BOnlyContext(g)
+        h, edges = psi(g), ctx.image.edge_order
+        assert edges == tuple(sorted(h.edges))
+        assert ctx.ends == tuple(1 << u | 1 << v for u, v in edges)
+        for chosen, a in verify._lemma_cases(ctx, which, gi, cfg.seed):
+            assert 0 <= a < len(edges)
+            assert 0 <= chosen < 1 << h.n
+            u, v = edges[a]
+            assert (chosen >> u & 1) + (chosen >> v & 1) == (chosen & ctx.ends[a]).bit_count() == which
+            cases += 1
+    assert cases == len(run_suite(cfg).results)
 
 
 class TestRunUnitAgainstFreshContext:
@@ -168,7 +176,7 @@ class TestRunUnitAgainstFreshContext:
     with a cached position per mask and one table.  Each case must see the
     position built directly from its picks and get the verdict of
     ``_check_lemma`` on a fresh context; the exhaustive cases must be the
-    (set, edge) pairs counted directly."""
+    (set, edge index) pairs counted directly."""
 
     @pytest.mark.parametrize("lemma", ["lemma2", "lemma3", "lemma4"])
     def test_cases_match(self, lemma, monkeypatch):
@@ -178,9 +186,9 @@ class TestRunUnitAgainstFreshContext:
         units += [(f"n=4/g={gi}", gi, n4[gi]) for gi in (0, 22, 63)]  # sampled cases
         seen = []
 
-        def spy(lemma, ctx, chosen, e, stats):
-            res = real(lemma, ctx, chosen, e, stats)
-            seen.append((ctx, chosen, e, ctx._positions[chosen]))
+        def spy(lemma, ctx, chosen, a, stats):
+            res = real(lemma, ctx, chosen, a, stats)
+            seen.append((ctx, chosen, a, ctx._positions[chosen]))
             return res
 
         real = verify._check_lemma
@@ -193,18 +201,19 @@ class TestRunUnitAgainstFreshContext:
         for g, results in runs:
             unit_cases = [next(cases) for _ in results]
             ctx = unit_cases[0][0]
-            h, image = ctx.padded, ctx.image
+            h, image = psi(g), ctx.image
+            assert image.edge_order == tuple(sorted(h.edges))
             if g.n <= 3:
-                assert [(chosen, e) for _, chosen, e, _ in unit_cases] == [
-                    (bits, e) for bits in range(1 << h.n) for e in sorted(h.edges)
+                assert [(chosen, a) for _, chosen, a, _ in unit_cases] == [
+                    (bits, a) for bits in range(1 << h.n) for a, e in enumerate(sorted(h.edges))
                     if (bits >> e[0] & 1) + (bits >> e[1] & 1) == which]
-            for (_, chosen, e, pos), r in zip(unit_cases, results):
+            for (_, chosen, a, pos), r in zip(unit_cases, results):
                 vertices = [v for v in range(h.n) if chosen >> v & 1]
                 cones = 0
                 for v in vertices:
-                    cones |= image.poset.up[image.b_of_vertex(v)]
+                    cones |= image.poset.up[image.b_elements()[v]]
                 assert pos == (1 << image.poset.m) - 1 & ~cones
-                fresh = _check_lemma(lemma, BOnlyContext(g), chosen, e, SearchStats())
+                fresh = _check_lemma(lemma, BOnlyContext(g), chosen, a, SearchStats())
                 assert (r.verdict, r.detail, fresh) == ("pass", "", None)
         assert next(cases, None) is None
 
@@ -489,7 +498,7 @@ def gamma_above_an_endpoint(g):
     image = phi(g)
     if not image.edge_order:
         return image
-    pairs = [*image.poset.cover_pairs(), (image.b_of_vertex(image.edge_order[0][0]), 0)]
+    pairs = [*image.poset.cover_pairs(), (image.b_elements()[image.edge_order[0][0]], 0)]
     return PhiImage(Poset.from_pairs(image.poset.m, pairs), g, image.edge_order)
 
 
