@@ -44,5 +44,4 @@ from .reductions import (
     phi,
     poset_to_setgame,
     psi,
-    reduce_kayles_to_poset,
 )

@@ -8,6 +8,7 @@ to stdout, solver stats to stderr.  Exit codes for winner: 0 first player,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -18,9 +19,10 @@ from .games import (
     format_setgame,
     parse_setgame,
 )
+from . import graphs
 from .graphs import parse_graph
 from .posets import format_poset, parse_poset, to_dot
-from .reductions import format_phi_mapping, poset_to_setgame, reduce_kayles_to_poset
+from .reductions import format_phi_mapping, phi, poset_to_setgame, psi
 from .solver import (
     BudgetExceeded,
     GameValue,
@@ -47,13 +49,16 @@ def _load_game(path: str, game: str):
     return SetGameRules(parse_setgame(text))  # --game is an argparse choice of the three
 
 
-def _write(path: str | None, text):
-    chunks = (text,) if isinstance(text, str) else text
+def _output(path: str | None):
+    """``path`` opened for writing, or stdout for None or ``-``, as a context."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w") as f:
-            f.writelines(chunks)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
+
+
+def _write(path: str | None, text):
+    with _output(path) as f:
+        f.writelines((text,) if isinstance(text, str) else text)
 
 
 def _budget(args) -> int | None:
@@ -100,7 +105,12 @@ def cmd_reduce(args) -> int:
         raise ValueError("--map-out maps a graph onto its poset: it needs --from kayles --to poset")
     text = _read_file(args.input)
     if args.src == "kayles":
-        image = reduce_kayles_to_poset(parse_graph(text))
+        h = psi(parse_graph(text))
+        m = h.n + 2 * len(h.edges)  # phi's element count, known before it builds anything
+        if m > graphs.MAX_ELEMENTS:
+            raise ValueError(
+                f"the poset would have {m} elements, past the element limit, {graphs.MAX_ELEMENTS}")
+        image = phi(h)
         _write(args.out, format_poset(image.poset))
         if args.map_out:
             _write(args.map_out, format_phi_mapping(image))
@@ -124,10 +134,13 @@ def cmd_verify(args) -> int:
         budget=args.budget,
         jobs=args.jobs,
     )
-    report = run_suite(config)
-    sys.stdout.write(report.to_text())
-    if args.out:
-        _write(args.out, report.record_lines())  # one line at a time, never the whole file
+    config.check()  # a bad config writes no file
+    # --out is opened before the run, so that an unwritable path costs no run
+    with _output(args.out) if args.out else contextlib.nullcontext() as records:
+        report = run_suite(config)
+        sys.stdout.write(report.to_text())
+        if records is not None:
+            records.writelines(report.record_lines())  # one line at a time, never the whole file
     return 0 if report.passed else 1
 
 

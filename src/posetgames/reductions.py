@@ -98,11 +98,6 @@ def phi(g: Graph) -> PhiImage:
     return PhiImage(Poset._closed(m, up, down), g, edges)
 
 
-def reduce_kayles_to_poset(g: Graph) -> PhiImage:
-    """The full graph-to-poset reduction: phi applied to psi."""
-    return phi(psi(g))
-
-
 def poset_to_setgame(p: Poset) -> SetGame:
     """One set per element: its upper cone.  Picking S_x mirrors picking x.
 

@@ -16,17 +16,21 @@ caller's error, such as a ``max_n`` past its suite's cap, raises.
 suite's check, the report's columns and one budgeted ``SearchStats`` once
 per run, resets the stats' ``states`` before each case, calls the check,
 times it, turns its answer into a verdict and appends the case to the
-columns of a ``SuiteReport``, which builds a row object only when one is
-read.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table, and the
-``_SUITES`` table holds all ``run_suite`` knows about a suite.  A lemma
-unit is one source graph and its ``BOnlyContext``: its cases, each a mask
-of vertex picks and the index of an edge in the image's ``edge_order``, are
-checked in turn on that context, which caches the position after each
-mask.  The index names both probed elements in ``phi``'s layout, so a case
-looks nothing up, and ``_lemma_cases`` yields only cases with the lemma's
-count of the edge's endpoints, so the check does not count them again.
-Most of the probes are answered by one lookup in the context's table,
-which the solver makes before it validates the position.
+columns of a ``SuiteReport``.  A report is the sequence of its cases: its
+iterator is the one reader, which builds each row as it reaches it, and the
+failure lists, the text and the records all read through it.  ``results``
+is the report itself, kept because ``bench/`` reads ``len(report.results)``
+and iterates it.  Lemmas 2-4 are one check driven by the ``_LEMMAS`` table,
+and the ``_SUITES`` table holds all ``run_suite`` knows about a suite.  A
+lemma unit is one source graph and its ``BOnlyContext``: its cases, each a
+mask of vertex picks and the index of an edge in the image's
+``edge_order``, are checked in turn on that context, which caches the
+position after each mask.  The index names both probed elements in
+``phi``'s layout, so a case looks nothing up, and ``_lemma_cases`` yields
+only cases with the lemma's count of the edge's endpoints, so the check
+does not count them again.  Most of the probes are answered by one lookup
+in the context's table, which the solver makes before it validates the
+position.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import os
 import random
 import time
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -91,7 +94,7 @@ class SuiteConfig:
             raise ValueError(f"max_n={n} is not between 1 and the {self.suite} cap {cap}")
 
 
-@dataclass(slots=True)  # one per row that a report's results view reads
+@dataclass(slots=True)  # one per case that a report's iterator reaches
 class InstanceResult:
     instance: str
     verdict: str  # "pass" | "fail" | "inconclusive"
@@ -105,22 +108,24 @@ _PASS, _FAIL, _INCONCLUSIVE = range(3)
 
 
 class SuiteReport:
-    """The cases of one suite run, stored as columns.
+    """The cases of one suite run, stored as columns, and read as the
+    sequence of their ``InstanceResult`` rows.
 
     Per unit: its name, as UTF-8 bytes ending at ``_name_ends[u]`` in
     ``_names``, and ``_ends[u]``, the index where its cases end.  Per case: a
     verdict code, its states and its millis.  A case that did not pass has
     its detail in ``_details``, keyed by case index in increasing order.  A
-    case costs about 18 bytes.  ``results`` is read in order: it has a
-    length, and its iterator builds each case's ``InstanceResult`` as it
-    reaches it.  ``failures`` and ``inconclusives`` are lists.  In a lemma
-    suite a unit has one case per (chosen, a) pair, named
-    ``{unit}/case={k}``; in the others a unit is one case, named by the
-    unit.
+    case costs about 18 bytes.  The report has a length, and its iterator is
+    the one reader: it builds each case's row as it reaches it, and never
+    keeps one.  ``failures`` and ``inconclusives`` are lists filtered from
+    it, and ``to_text`` and ``record_lines`` read it once.  In a lemma suite
+    a unit has one case per (chosen, a) pair, named ``{unit}/case={k}``; in
+    the others a unit is one case, named by the unit.  ``results`` is the
+    report itself, kept because ``bench/`` reads ``len(report.results)`` and
+    iterates it.
     """
 
     def __init__(self, config: SuiteConfig):
-        self.suite = config.suite
         self.config = config
         self.wall_millis = 0.0
         self._case_names = _SUITES[config.suite].check is None
@@ -143,43 +148,37 @@ class SuiteReport:
         self._millis += part._millis
         self._details.update((i + cases, detail) for i, detail in part._details.items())
 
-    def _unit_name(self, u: int) -> str:
-        return self._names[self._name_ends[u - 1] if u else 0:self._name_ends[u]].decode()
+    def __len__(self) -> int:
+        return len(self._verdicts)
 
-    def _row(self, i: int, name: str, k: int) -> InstanceResult:
-        """Case ``i``, the ``k``-th case of the unit named ``name``."""
-        return InstanceResult(
-            f"{name}/case={k}" if self._case_names else name,
-            _VERDICTS[self._verdicts[i]], self._states[i], self._millis[i],
-            self._details.get(i, ""),
-        )
-
-    def _case(self, i: int) -> InstanceResult:
-        u = bisect_right(self._ends, i)
-        return self._row(i, self._unit_name(u), i - (self._ends[u - 1] if u else 0))
-
-    def _rows(self):
-        start = 0
-        for u, end in enumerate(self._ends):
-            name = self._unit_name(u)
-            for i in range(start, end):
-                yield self._row(i, name, i - start)
-            start = end
+    def __iter__(self):
+        names, get, case_names = self._names, self._details.get, self._case_names
+        units = zip(self._name_ends, self._ends)
+        name_end = start = end = 0
+        for i, (verdict, states, millis) in enumerate(zip(self._verdicts, self._states, self._millis)):
+            while i == end:  # case i opens the next unit that has cases
+                start, name_start = end, name_end
+                name_end, end = next(units)
+                name = names[name_start:name_end].decode()
+            yield InstanceResult(f"{name}/case={i - start}" if case_names else name,
+                                 _VERDICTS[verdict], states, millis, get(i, ""))
 
     @property
-    def results(self) -> _Results:
-        return _Results(self)
+    def results(self) -> SuiteReport:
+        return self
 
-    def _non_pass(self, code: int) -> list[InstanceResult]:
-        return [self._case(i) for i in self._details if self._verdicts[i] == code]
+    def _non_pass(self, *verdicts: str) -> list[InstanceResult]:
+        """The rows with one of ``verdicts``, in order; none is read when
+        every case passed."""
+        return [r for r in self if r.verdict in verdicts] if self._details else []
 
     @property
     def failures(self) -> list[InstanceResult]:
-        return self._non_pass(_FAIL)
+        return self._non_pass("fail")
 
     @property
     def inconclusives(self) -> list[InstanceResult]:
-        return self._non_pass(_INCONCLUSIVE)
+        return self._non_pass("inconclusive")
 
     @property
     def passed(self) -> bool:
@@ -191,27 +190,29 @@ class SuiteReport:
 
     def to_text(self) -> str:
         cfg = self.config
-        failures, inconclusives = self.failures, self.inconclusives
+        # one read; the stable sort puts the failures before the inconclusives
+        shown = sorted(self._non_pass("fail", "inconclusive"), key=lambda r: r.verdict != "fail")
+        failures = sum(r.verdict == "fail" for r in shown)
         lines = [
-            f"suite: {self.suite}",
+            f"suite: {cfg.suite}",
             f"config: max_n={cfg.resolved_max_n()} seed={cfg.seed} "
             f"budget={cfg.budget} jobs={cfg.jobs}",
-            f"instances: {len(self._verdicts)}  failures: {len(failures)}  "
-            f"inconclusive: {len(inconclusives)}",
+            f"instances: {len(self)}  failures: {failures}  "
+            f"inconclusive: {len(shown) - failures}",
             f"states: {self.states}  wall_ms: {self.wall_millis:.0f}",
         ]
-        for r in failures + inconclusives:
-            lines.append(f"{r.verdict.upper()} {r.instance}: {r.detail}")
+        lines += [f"{r.verdict.upper()} {r.instance}: {r.detail}" for r in shown]
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines) + "\n"
 
     def record_lines(self):
         """One JSON record per case, each a line ending in a newline, built
         as it is read."""
-        for r in self._rows():
+        suite = self.config.suite
+        for r in self:
             yield json.dumps(
                 {
-                    "suite": self.suite,
+                    "suite": suite,
                     "instance": r.instance,
                     "verdict": r.verdict,
                     "states": r.states,
@@ -220,22 +221,6 @@ class SuiteReport:
                 },
                 sort_keys=True,
             ) + "\n"
-
-
-class _Results:
-    """A report's cases as ``InstanceResult`` rows, in order.  A row is built
-    each time it is read and never kept."""
-
-    __slots__ = ("_report",)
-
-    def __init__(self, report: SuiteReport):
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report._verdicts)
-
-    def __iter__(self):
-        return self._report._rows()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -258,6 +259,43 @@ class TestReduce:
         assert err.startswith("error: --map-out") and err.count("\n") == 1 and "Traceback" not in err
         assert not mapping.exists() and not out.exists()
 
+    def test_image_past_the_limit_refused_before_phi(self, tmp_path, capsys, monkeypatch):
+        # psi pads 100 vertices and 4 942 edges to 106 and 4 949: an image of
+        # 10 004 elements, which the poset reader would refuse.  The count is
+        # known after psi, so phi must not run (at the limit it costs about
+        # 1 s and 400 MB), and no output file may be written
+        def no_phi(h):
+            raise AssertionError("phi ran")
+
+        monkeypatch.setattr(cli, "phi", no_phi)
+        src = tmp_path / "over.graph"
+        src.write_text(format_graph(Graph.of(100, list(itertools.combinations(range(100), 2))[:4942])))
+        outs = [tmp_path / name for name in ("over.poset", "over.map", "over.dot")]
+        rc = main(["reduce", str(src), "--from", "kayles", "--to", "poset", "--out", str(outs[0]),
+                   "--map-out", str(outs[1]), "--dot", str(outs[2])])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the poset would have 10004 elements, past the element limit, {MAX_ELEMENTS}\n"
+        assert not any(path.exists() for path in outs)
+
+    def test_image_at_the_limit_reads_back(self, tmp_path, capsys, monkeypatch):
+        # K2 pads to 6 vertices and 3 edges, 12 elements; one more edge on a
+        # third vertex gives 13.  The limit is read when reduce runs
+        monkeypatch.setattr(posetgames.graphs, "MAX_ELEMENTS", 12)
+        at, over = tmp_path / "at.graph", tmp_path / "over.graph"
+        at.write_text(format_graph(complete_graph(2)))
+        over.write_text(format_graph(Graph.of(3, [(0, 1)])))
+        poset, sets = tmp_path / "at.poset", tmp_path / "at.sets"
+        assert main(["reduce", str(at), "--from", "kayles", "--to", "poset", "--out", str(poset)]) == 0
+        assert main(["reduce", str(poset), "--from", "poset", "--to", "setgame", "--out", str(sets)]) == 0
+        assert parse_setgame(sets.read_text()).k == 12
+        capsys.readouterr()
+        refused = tmp_path / "over.poset"
+        assert main(["reduce", str(over), "--from", "kayles", "--to", "poset", "--out", str(refused)]) == 2
+        assert capsys.readouterr().err == "error: the poset would have 13 elements, past the element limit, 12\n"
+        assert not refused.exists()
+
 
 class TestVerify:
     def test_theorem_suite_ok(self, tmp_path, capsys):
@@ -282,6 +320,17 @@ class TestVerify:
         assert main(["verify", "--suite", "lemma3", "--max-n", "2", "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert strip(out[out.rindex("PASS\n") + 5:]) == expected
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "theorem", "--max-n", "1",
+                     "--out", str(tmp_path / "missing" / "x.jsonl")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # a bad config is refused before the file is opened
+        records = tmp_path / "x.jsonl"
+        assert main(["verify", "--suite", "theorem", "--max-n", "0", "--out", str(records)]) == 2
+        assert not records.exists()
 
     def test_over_cap_rejected(self, capsys):
         assert main(["verify", "--suite", "lemma2", "--max-n", "9"]) == 2

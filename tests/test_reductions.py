@@ -16,7 +16,6 @@ from posetgames import (
     poset_to_setgame,
     psi,
     random_poset,
-    reduce_kayles_to_poset,
     solve_winner,
 )
 from posetgames.posets import Poset, mask_to_sorted
@@ -181,12 +180,12 @@ class TestComposition:
         ],
     )
     def test_sizes(self, g, expected_m):
-        assert reduce_kayles_to_poset(g).poset.m == expected_m
+        assert phi(psi(g)).poset.m == expected_m
 
     def test_size_formula(self):
         for g in enumerate_labeled_graphs(4):
             h = psi(g)
-            assert reduce_kayles_to_poset(g).poset.m == h.n + 2 * len(h.edges)
+            assert phi(psi(g)).poset.m == h.n + 2 * len(h.edges)
 
 
 class TestPosetToSetGame:
@@ -243,7 +242,7 @@ class TestMappingSidecar:
         assert format_phi_mapping(image) == ("A 0 1 0\nB 0 1\nB 1 2\nC 0 1 3\n")
 
     def test_indices_cover_all_elements(self):
-        image = reduce_kayles_to_poset(complete_graph(3))
+        image = phi(psi(complete_graph(3)))
         lines = format_phi_mapping(image).splitlines()
         indices = sorted(int(line.split()[-1]) for line in lines)
         assert indices == list(range(image.poset.m))

@@ -447,6 +447,28 @@ class TestReportColumns:
         parallel = run_suite(SuiteConfig("theorem", max_n=3, jobs=2), phi_fn=drop_one_low_relation)
         assert list(map(row, parallel.failures)) == list(map(row, report.failures))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_lemma_report(self, jobs):
+        # with gamma(e) above an endpoint, some lemma 4 cases fail and, under
+        # a budget of 2, others run out: both lists must be the rows of that
+        # verdict in order, named by case, and the text must list them so.
+        # With two jobs the units are joined from chunks, so the detail
+        # offsets of lemma units are checked too
+        report = run_suite(SuiteConfig("lemma4", max_n=2, budget=2, jobs=jobs), phi_fn=gamma_above_an_endpoint)
+        rows = list(report.results)
+        assert len(rows) == len(report) == 304 + 165 + 251
+        assert [r.instance for r in rows] == [
+            f"n={n}/g={gi}/case={k}" for n, gi, cases in ((1, 0, 224), (2, 0, 448), (2, 1, 48))
+            for k in range(cases)]
+        failures, inconclusives = report.failures, report.inconclusives
+        assert failures == [r for r in rows if r.verdict == "fail"] and len(failures) == 304
+        assert inconclusives == [r for r in rows if r.verdict == "inconclusive"] and len(inconclusives) == 165
+        assert all(r.detail for r in failures + inconclusives)
+        _, _, counts, _, listed = report.to_text().split("\n", 4)
+        assert counts == "instances: 720  failures: 304  inconclusive: 165"
+        assert listed == "".join(f"{r.verdict.upper()} {r.instance}: {r.detail}\n"
+                                 for r in failures + inconclusives) + "FAIL\n"
+
 
 # SHA-256 of each suite's records at its default regime without the timing
 # field (instance, verdict, states, detail): enumeration order, sampling and
